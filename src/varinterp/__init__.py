@@ -14,7 +14,6 @@ from .errors import (
     NoCandidate,
     NoConvergence,
     NoExtremum,
-    SingularJacobian,
     VarInterpError,
 )
 from .models import (
@@ -36,8 +35,6 @@ from .series import (
     StrongSeries,
     WeakSeries,
     binom_general,
-    strong_eval,
-    weak_eval,
 )
 from .solvers import (
     FrequencyResult,
@@ -72,7 +69,6 @@ __all__ = [
     "NoConvergence",
     "NoExtremum",
     "ScalingLaw",
-    "SingularJacobian",
     "StrongCoeffs",
     "StrongSeries",
     "TrialFunction",
@@ -97,6 +93,4 @@ __all__ = [
     "interpolant",
     "interpolate_series",
     "optimize_c",
-    "strong_eval",
-    "weak_eval",
 ]

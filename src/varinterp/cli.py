@@ -110,8 +110,11 @@ def load_model_file(path: str) -> ModelSpec:
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if spec.omega <= 0:
-        raise ConfigError(f"{path}: omega must be positive, got {spec.omega}")
+    if not (math.isfinite(spec.omega) and spec.omega > 0):
+        raise ConfigError(f"{path}: omega must be positive and finite, got {spec.omega}")
+    if not all(math.isfinite(b) for b in spec.known_strong):
+        raise ConfigError(
+            f"{path}: strong_targets must be finite, got {kv['strong_targets']!r}")
     return spec
 
 
@@ -144,16 +147,14 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_model(cfg: RunConfig):
-    spec = cfg.model
-    if spec.known_strong:
-        ext, sol = solvers.extend_model(spec)
-        return ext, sol
-    return spec, None
-
-
 def cmd_interpolate(cfg: RunConfig) -> int:
-    ext, _ = _resolve_model(cfg)
+    ext = cfg.model
+    if ext.known_strong:
+        try:
+            ext, _ = solvers.extend_model(ext)
+        except VarInterpError as exc:
+            print(f"inference failed for {ext.name!r}: {exc}", file=sys.stderr)
+            return 3
     couplings = _grid(cfg)
     header = [ext.coupling_name, "omega_N", "W_N"]
     rows = []

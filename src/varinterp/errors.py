@@ -17,10 +17,6 @@ class NoCandidate(VarInterpError):
     """Neither an extremum nor a turning point was found in the scan window."""
 
 
-class SingularJacobian(VarInterpError):
-    """Newton step impossible: Jacobian numerically singular."""
-
-
 class NoConvergence(VarInterpError):
     """Iteration exhausted without meeting the residual target."""
 

@@ -62,6 +62,7 @@ class TrialFunction:
     term_polys: tuple[LaurentPoly, ...]
     d1_polys: tuple[LaurentPoly, ...]
     d2_polys: tuple[LaurentPoly, ...]
+    d3_polys: tuple[LaurentPoly, ...]
 
     @property
     def order(self) -> int:
@@ -81,16 +82,17 @@ class TrialFunction:
     def eval(self, alpha: float, Omega: float) -> float:
         return self._combine(self.term_polys, alpha, Omega)
 
+    def _deriv_polys(self, k: int) -> tuple[LaurentPoly, ...]:
+        if k not in (1, 2, 3):
+            raise ValueError(f"only derivatives of order 1 to 3 supported, got k={k}")
+        return (self.d1_polys, self.d2_polys, self.d3_polys)[k - 1]
+
     def deriv(self, alpha: float, Omega: float, k: int = 1) -> float:
-        if k == 1:
-            return self._combine(self.d1_polys, alpha, Omega)
-        if k == 2:
-            return self._combine(self.d2_polys, alpha, Omega)
-        raise ValueError(f"only first and second derivatives supported, got k={k}")
+        return self._combine(self._deriv_polys(k), alpha, Omega)
 
     def deriv_scale(self, alpha: float, Omega: float, k: int = 1) -> float:
         """Sum of absolute monomial contributions; tolerance yardstick."""
-        polys = self.d1_polys if k == 1 else self.d2_polys
+        polys = self._deriv_polys(k)
         total = 0.0
         apow = 1.0
         for a, poly in zip(self.coeffs, polys):
@@ -107,15 +109,8 @@ def build_trial(s: WeakSeries, law: ScalingLaw, omega: float = 1.0) -> TrialFunc
     polys = tuple(_term_poly(n, N, law) for n in range(N + 1))
     d1 = tuple(p.diff() for p in polys)
     d2 = tuple(p.diff() for p in d1)
+    d3 = tuple(p.diff() for p in d2)
     return TrialFunction(
         coeffs=s.coeffs, law=law, omega=omega,
-        term_polys=polys, d1_polys=d1, d2_polys=d2,
+        term_polys=polys, d1_polys=d1, d2_polys=d2, d3_polys=d3,
     )
-
-
-def eval_trial(t: TrialFunction, alpha: float, Omega: float) -> float:
-    return t.eval(alpha, Omega)
-
-
-def deriv_trial(t: TrialFunction, alpha: float, Omega: float, k: int = 1) -> float:
-    return t.deriv(alpha, Omega, k)

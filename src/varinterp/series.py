@@ -2,7 +2,8 @@
 
 Everything here is exact: coefficients are `fractions.Fraction` (floats are
 converted to their exact binary value), and Laurent exponents may be
-half-integers, stored doubled.  Floating point enters only in `eval`.
+half-integers, stored doubled.  Floating point enters only in `eval`, and in
+`scan_roots`, the one root finder behind every stationary-point search.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ __all__ = [
     "ScalingLaw",
     "StrongSeries",
     "LaurentPoly",
-    "weak_eval",
-    "strong_eval",
+    "scan_roots",
 ]
 
 Rational = Fraction | int
@@ -115,14 +115,6 @@ class StrongSeries:
         for c in reversed(self.coeffs):
             acc = acc * step + c
         return acc * alpha ** (float(self.law.p) / float(self.law.q))
-
-
-def weak_eval(s: WeakSeries, alpha: float) -> float:
-    return s.eval(alpha)
-
-
-def strong_eval(s: StrongSeries, alpha: float) -> float:
-    return s.eval(alpha)
 
 
 class LaurentPoly:
@@ -264,16 +256,6 @@ class LaurentPoly:
             out[e2 - 2] = {m: c * fac for m, c in row.items()}
         return LaurentPoly(out)
 
-    def integrate(self) -> "LaurentPoly":
-        """Antiderivative with zero constant; rejects the X^-1 term."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for e2, row in self._terms.items():
-            if e2 == -2:
-                raise ValueError("X^-1 term has no Laurent antiderivative")
-            fac = Fraction(2, e2 + 2)
-            out[e2 + 2] = {m: c * fac for m, c in row.items()}
-        return LaurentPoly(out)
-
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x: float, w: float = 1.0) -> float:
@@ -308,3 +290,53 @@ class LaurentPoly:
             if tot:
                 out[e2] = {0: tot}
         return LaurentPoly(out)
+
+
+# Newton stops once a step moves the root by at most this relative amount;
+# the step cap only guards termination
+_ROOT_REL_TOL = 1e-14
+_ROOT_MAX_STEPS = 100
+
+
+def scan_roots(f, df, lo: float, hi: float, points: int, extra=()) -> list[float]:
+    """All roots of f found on a log grid over [lo, hi], in increasing order.
+
+    The grid has `points` nodes plus the `extra` nodes.  Every node where f is
+    exactly zero is a root; every sign change between neighbours is polished
+    by Newton on the derivative `df`, falling back to bisection whenever a
+    step would leave the current bracket, so each root stays inside its
+    grid cell.
+    """
+    grid = sorted({lo * (hi / lo) ** (i / (points - 1)) for i in range(points)}
+                  | set(extra))
+    vals = [f(x) for x in grid]
+    roots = []
+    for x0, x1, f0, f1 in zip(grid, grid[1:], vals, vals[1:]):
+        if f0 == 0.0:
+            roots.append(x0)
+        elif f0 * f1 < 0:
+            roots.append(_bracketed_newton(f, df, x0, x1, f0))
+    if vals and vals[-1] == 0.0:
+        roots.append(grid[-1])
+    return roots
+
+
+def _bracketed_newton(f, df, a: float, b: float, fa: float) -> float:
+    """Root of f in (a, b), where f(a) = fa and f(b) have opposite signs."""
+    x = 0.5 * (a + b)
+    for _ in range(_ROOT_MAX_STEPS):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (fa < 0):
+            a, fa = x, fx
+        else:
+            b = x
+        d = df(x)
+        nx = x - fx / d if d != 0.0 else math.nan
+        if not a < nx < b:
+            nx = 0.5 * (a + b)
+        if abs(nx - x) <= _ROOT_REL_TOL * nx:
+            return nx
+        x = nx
+    return x

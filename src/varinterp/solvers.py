@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import strong_limit
-from .errors import NoCandidate, NoConvergence, NoExtremum, SingularJacobian
+from .errors import NoCandidate, NoConvergence, NoExtremum
 from .reexpand import TrialFunction, build_trial
-from .series import LaurentPoly, ScalingLaw, WeakSeries
+from .series import LaurentPoly, ScalingLaw, WeakSeries, scan_roots
 
 __all__ = [
     "FrequencyResult",
@@ -46,36 +48,6 @@ def _sign(x: float) -> int | None:
     return None
 
 
-def _scan_grid(lo: float, hi: float, points: int = 400) -> list[float]:
-    return [lo * (hi / lo) ** (i / (points - 1)) for i in range(points)]
-
-
-def _bracketed_roots(f, grid: list[float]) -> list[float]:
-    vals = [f(x) for x in grid]
-    roots = []
-    for x0, x1, f0, f1 in zip(grid, grid[1:], vals, vals[1:]):
-        if f0 == 0.0:
-            roots.append(x0)
-        elif f0 * f1 < 0:
-            a, b, fa = x0, x1, f0
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if b - a <= 1e-16 * b:
-                    break
-            roots.append(0.5 * (a + b))
-    if vals and vals[-1] == 0.0:
-        roots.append(grid[-1])
-    return roots
-
-
 def find_omega(
     t: TrialFunction,
     alpha: float,
@@ -99,14 +71,16 @@ def find_omega(
         hi = max(hi, 10.0 * c_hint * alpha ** (1.0 / float(t.law.q)))
     else:
         hi = max(hi, 10.0 * alpha ** (1.0 / float(t.law.q)))
-    grid = _scan_grid(1e-3 * w, hi)
+    lo, points = 1e-3 * w, 400
+
+    def deriv(k):
+        return lambda x: t.deriv(alpha, x, k)
 
     # turning points split the window into monotone pieces of dW/dOmega;
-    # inserting them into the grid catches extremum pairs that straddle a
+    # adding them to the grid catches extremum pairs that straddle a
     # turning point more closely than the grid spacing (small-alpha regime)
-    turning = _bracketed_roots(lambda x: t.deriv(alpha, x, 2), grid)
-    fine = sorted(set(grid) | set(turning))
-    roots = _bracketed_roots(lambda x: t.deriv(alpha, x, 1), fine)
+    turning = scan_roots(deriv(2), deriv(3), lo, hi, points)
+    roots = scan_roots(deriv(1), deriv(2), lo, hi, points, extra=turning)
     kind = "extremum"
     if not roots:
         roots = turning
@@ -120,16 +94,7 @@ def find_omega(
         if matching:
             candidates = matching
     Omega = min(candidates)
-    # Newton polish on the selecting derivative
     k = 1 if kind == "extremum" else 2
-    for _ in range(40):
-        d2 = t.deriv(alpha, Omega, 2) if k == 1 else _third_deriv(t, alpha, Omega)
-        if d2 == 0.0:
-            break
-        step = t.deriv(alpha, Omega, k) / d2
-        Omega -= step
-        if abs(step) <= 1e-14 * Omega:
-            break
     resid = abs(t.deriv(alpha, Omega, k))
     scale = t.deriv_scale(alpha, Omega, k)
     if resid > 1e-11 * max(scale, 1e-300):
@@ -137,13 +102,6 @@ def find_omega(
             f"stationary-point residual {resid:.3e} above certificate at alpha={alpha}"
         )
     return FrequencyResult(Omega=Omega, kind=kind, candidates=len(roots))
-
-
-def _third_deriv(t: TrialFunction, alpha: float, Omega: float) -> float:
-    # finite difference of the exact second derivative; only used to polish
-    # turning points, whose certificate is on the second derivative itself
-    h = 1e-6 * Omega
-    return (t.deriv(alpha, Omega + h, 2) - t.deriv(alpha, Omega - h, 2)) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -187,7 +145,12 @@ def _basis_tables(p: InferenceProblem):
     return g, gp, gpp0
 
 
+# scaled max-norm residual at which a Newton run counts as converged
+_RESID_TOL = 1e-13
+
+
 def _newton_run(p: InferenceProblem, g, gp, gpp0, c0: float, max_iter: int = 200):
+    """Damped Newton from (0, ..., 0, c0): final z, F, scaled residual, steps."""
     k = len(p.known_a) - 1
     m = p.unknown_count
     N = k + m
@@ -225,13 +188,13 @@ def _newton_run(p: InferenceProblem, g, gp, gpp0, c0: float, max_iter: int = 200
 
     z = [0.0] * m + [c0]
     F = residual(z)
-    best = norm(F)
+    nF = norm(F)
     for it in range(1, max_iter + 1):
         if z[m] <= 0 or not all(math.isfinite(v) for v in z):
             break
         try:
-            step = _solve_dense(jacobian(z), F)
-        except SingularJacobian:
+            step = np.linalg.solve(jacobian(z), F).tolist()
+        except np.linalg.LinAlgError:
             break
         lam = 1.0
         improved = False
@@ -240,40 +203,18 @@ def _newton_run(p: InferenceProblem, g, gp, gpp0, c0: float, max_iter: int = 200
             if trial[m] > 0:
                 Ft = residual(trial)
                 nt = norm(Ft)
-                if nt < norm(F) or nt < 1e-15:
-                    z, F = trial, Ft
+                if nt < nF or nt < 1e-15:
+                    z, F, nF = trial, Ft, nt
                     improved = True
                     break
             lam *= 0.5
-        if not improved:
+        if not improved or nF <= _RESID_TOL:
             break
-        best = min(best, norm(F))
-        if norm(F) <= 1e-13:
-            return z, F, it
-    return None, best, max_iter
+    return z, F, nF, it
 
 
 def _peval(poly: LaurentPoly, c: float) -> float:
     return 0.0 if poly.is_zero() else poly.eval(c)
-
-
-def _solve_dense(J, F):
-    """Gaussian elimination with partial pivoting for the tiny Newton system."""
-    n = len(F)
-    A = [row[:] + [F[i]] for i, row in enumerate(J)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
-        if abs(A[piv][col]) < 1e-300:
-            raise SingularJacobian("pivot vanished in Newton step")
-        A[col], A[piv] = A[piv], A[col]
-        for r in range(col + 1, n):
-            f = A[r][col] / A[col][col]
-            for cc in range(col, n + 1):
-                A[r][cc] -= f * A[col][cc]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (A[r][n] - sum(A[r][cc] * x[cc] for cc in range(r + 1, n))) / A[r][r]
-    return x
 
 
 def infer_coefficients(p: InferenceProblem) -> InferenceSolution:
@@ -295,14 +236,14 @@ def infer_coefficients(p: InferenceProblem) -> InferenceSolution:
     solutions = []
     best_resid = math.inf
     for c0 in inits:
-        z, F_or_best, its = _newton_run(p, g, gp, gpp0, c0)
-        if z is None:
-            best_resid = min(best_resid, F_or_best)
+        z, F, resid, its = _newton_run(p, g, gp, gpp0, c0)
+        if not resid <= _RESID_TOL:  # NaN counts as failure
+            best_resid = min(best_resid, resid)
             continue
         c = z[p.unknown_count]
         if c > 0:
             if not any(abs(c - s[1]) <= 1e-8 * c for s in solutions):
-                solutions.append((z, c, F_or_best, its))
+                solutions.append((z, c, F, its))
     if not solutions:
         raise NoConvergence(
             f"Newton failed from all starting points (best residual {best_resid:.3e})",

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DegenerateCurvature, NoExtremum
-from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general
+from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general, scan_roots
 
 __all__ = ["StrongCoeffs", "b_poly", "b_of_c", "coeff_basis_poly", "optimize_c", "correct_bn"]
 
@@ -67,62 +67,15 @@ class StrongCoeffs:
     b_final: tuple[float, ...] = ()
 
 
-# scan grid for stationary points of b_0 (log-spaced)
-_SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-4, 1e4, 600
-
-
-def _scan_roots(f, lo: float = _SCAN_LO, hi: float = _SCAN_HI,
-                points: int = _SCAN_POINTS) -> list[float]:
-    """All sign-change roots of f on a log grid, bisected to full precision."""
-    grid = [lo * (hi / lo) ** (i / (points - 1)) for i in range(points)]
-    vals = [f(x) for x in grid]
-    roots = []
-    for x0, x1, f0, f1 in zip(grid, grid[1:], vals, vals[1:]):
-        if f0 == 0.0:
-            roots.append(x0)
-            continue
-        if f0 * f1 < 0:
-            a, b, fa = x0, x1, f0
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if b - a <= 1e-16 * b:
-                    break
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    return roots
-
-
-def _newton_polish(x: float, f, df, rel_tol: float = 1e-13, iters: int = 40) -> float:
-    for _ in range(iters):
-        d = df(x)
-        if d == 0.0:
-            break
-        step = f(x) / d
-        x -= step
-        if abs(step) <= rel_tol * abs(x):
-            break
-    return x
-
-
 def optimize_c(s: WeakSeries, law: ScalingLaw) -> StrongCoeffs:
     """Smallest positive stationary point of b_0(c), plus raw b_n values."""
     p0 = b_poly(s, law, 0)
     d1 = p0.diff()
     d2 = d1.diff()
-    roots = _scan_roots(d1.eval)
+    roots = scan_roots(d1.eval, d2.eval, 1e-4, 1e4, 600)
     if not roots:
         raise NoExtremum("db0/dc has no positive root in the scan window")
     c = min(roots)
-    c = _newton_polish(c, d1.eval, d2.eval)
     scale = max(abs(float(cf)) * c ** (e2 / 2 - 1) for e2, row in p0.items()
                 for cf in row.values())
     if abs(d1.eval(c)) > 1e-12 * max(scale, 1e-300):

@@ -83,6 +83,30 @@ class TestInterpolate:
         bad.write_text("name = x\nweak_coeffs = 1, oops\np = 1\nq = 1\n")
         assert run(["interpolate", "--model-file", str(bad)]) == 2
 
+    def test_inference_failure_exits_3(self, tmp_path, capsys):
+        # Newton finds no tail coefficient for this target from any start
+        mf = tmp_path / "hopeless.model"
+        mf.write_text("name = hopeless\nweak_coeffs = 1\np = 2\nq = 1\n"
+                      "strong_targets = 1.0\n")
+        assert run(["interpolate", "--model-file", str(mf),
+                    "--out", str(tmp_path / "out.csv")]) == 3
+        assert "inference failed" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("infer", "strong_targets = nan"),
+    ("infer", "strong_targets = 1.0, inf"),
+    ("interpolate", "omega = nan"),
+    ("interpolate", "omega = inf"),
+])
+def test_non_finite_model_values_exit_2(tmp_path, capsys, command, line):
+    mf = tmp_path / "nonfinite.model"
+    mf.write_text(f"name = x\nweak_coeffs = 1/2, 3/4\np = 1\nq = 3\n{line}\n")
+    assert run([command, "--model-file", str(mf),
+                "--out", str(tmp_path / "out.csv")]) == 2
+    assert "must be" in capsys.readouterr().err
+
 
 class TestInfer:
     def test_mass_report_and_ledger(self, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from varinterp.models import aho_omega1, builtin
-from varinterp.reexpand import build_fn, build_trial, deriv_trial, eval_trial
+from varinterp.reexpand import build_fn, build_trial
 from varinterp.series import LaurentPoly, ScalingLaw, WeakSeries
 
 F = Fraction
@@ -45,7 +45,7 @@ def test_baseline_reduces_to_weak_series():
         law = ScalingLaw(rng.choice([1, 2, 4]), rng.choice([1, 3]))
         t = build_trial(s, law)
         for alpha in (0.0, 0.3, 2.0):
-            assert eval_trial(t, alpha, 1.0) == pytest.approx(
+            assert t.eval(alpha, 1.0) == pytest.approx(
                 s.eval(alpha), rel=1e-12, abs=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_baseline_with_general_frequency():
     t = build_trial(s, law, omega)
     alpha = 0.4
     expected = 0.5 * alpha**0 * omega + 0.75 * alpha * omega**-2
-    assert eval_trial(t, alpha, omega) == pytest.approx(expected, rel=1e-13)
+    assert t.eval(alpha, omega) == pytest.approx(expected, rel=1e-13)
 
 
 def test_alpha_zero_keeps_constant_term():
@@ -73,8 +73,10 @@ def test_derivatives_match_finite_differences():
     for alpha, Om in [(0.5, 1.2), (3.0, 2.7), (10.0, 8.0)]:
         fd1 = (t.eval(alpha, Om + h) - t.eval(alpha, Om - h)) / (2 * h)
         fd2 = (t.eval(alpha, Om + h) - 2 * t.eval(alpha, Om) + t.eval(alpha, Om - h)) / h**2
-        assert deriv_trial(t, alpha, Om, 1) == pytest.approx(fd1, rel=1e-8, abs=1e-8)
-        assert deriv_trial(t, alpha, Om, 2) == pytest.approx(fd2, rel=1e-5, abs=1e-5)
+        assert t.deriv(alpha, Om, 1) == pytest.approx(fd1, rel=1e-8, abs=1e-8)
+        assert t.deriv(alpha, Om, 2) == pytest.approx(fd2, rel=1e-5, abs=1e-5)
+        fd3 = (t.deriv(alpha, Om + h, 2) - t.deriv(alpha, Om - h, 2)) / (2 * h)
+        assert t.deriv(alpha, Om, 3) == pytest.approx(fd3, rel=1e-8, abs=1e-8)
 
 
 def test_stationary_at_closed_form_frequency():
@@ -103,6 +105,6 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         t.eval(1.0, 0.0)
     with pytest.raises(ValueError):
-        t.deriv(1.0, 1.0, 3)
+        t.deriv(1.0, 1.0, 4)
     with pytest.raises(ValueError):
         build_trial(WeakSeries([1]), ScalingLaw(1, 1), omega=-1.0)

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varinterp.series import (
     LaurentPoly,
@@ -9,8 +12,7 @@ from varinterp.series import (
     StrongSeries,
     WeakSeries,
     binom_general,
-    strong_eval,
-    weak_eval,
+    scan_roots,
 )
 
 F = Fraction
@@ -48,12 +50,12 @@ class TestBinom:
 class TestWeakSeries:
     def test_polaron_energy_partial_sum(self):
         s = WeakSeries([1.0, 0.0159196220, 0.000806070048])
-        assert weak_eval(s, 1.0) == pytest.approx(1.016725692048, rel=1e-12)
+        assert s.eval(1.0) == pytest.approx(1.016725692048, rel=1e-12)
 
     def test_polaron_mass_partial_sum(self):
         s = WeakSeries([1, F(1, 6), 0.02362763])
-        assert weak_eval(s, 2.0) == pytest.approx(1.0 + 2.0 / 6.0 + 0.02362763 * 4.0,
-                                                  rel=1e-15)
+        assert s.eval(2.0) == pytest.approx(1.0 + 2.0 / 6.0 + 0.02362763 * 4.0,
+                                            rel=1e-15)
 
     def test_extended(self):
         s = WeakSeries([F(1, 2)]).extended([F(3, 4)])
@@ -72,12 +74,12 @@ class TestWeakSeries:
 class TestStrongSeries:
     def test_mass_leading_term(self):
         s = StrongSeries(ScalingLaw(4, 1), [0.0227019])
-        assert strong_eval(s, 10.0) == pytest.approx(227.019, rel=1e-12)
+        assert s.eval(10.0) == pytest.approx(227.019, rel=1e-12)
 
     def test_energy_two_terms(self):
         s = StrongSeries(ScalingLaw(1, 1), [0.108513, 2.836])
         # alpha * (b0 + b1 / alpha^2) at alpha = 100
-        assert strong_eval(s, 100.0) == pytest.approx(10.87966, rel=1e-10)
+        assert s.eval(100.0) == pytest.approx(10.87966, rel=1e-10)
 
     def test_fractional_powers(self):
         s = StrongSeries(ScalingLaw(1, 3), [2.0, 5.0])
@@ -128,17 +130,6 @@ class TestLaurentPoly:
             a, b = random_poly(rng, 4), random_poly(rng, 4)
             assert (a * b).diff() == a.diff() * b + a * b.diff()
 
-    def test_integrate_roundtrip(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            # shift into nonnegative powers so the X^-1 obstruction is absent
-            p = random_poly(rng).shift(8)
-            assert p.integrate().diff() == p
-
-    def test_integrate_rejects_inverse_term(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.term(1, twice_exp=-2).integrate()
-
     def test_half_integer_exponents(self):
         p = LaurentPoly.term(F(3, 2), twice_exp=1)  # (3/2) X^(1/2)
         assert p.eval(4.0) == pytest.approx(3.0)
@@ -169,3 +160,60 @@ class TestLaurentPoly:
         p = LaurentPoly.term(1, 2) - LaurentPoly.term(1, 2)
         assert p.is_zero()
         assert list(p.items()) == []
+
+
+def product_poly(roots, scale):
+    """scale * prod(x - r) and its derivative, in product form so that both
+    stay accurate next to each root."""
+
+    def f(x):
+        return scale * math.prod(x - r for r in roots)
+
+    def df(x):
+        return scale * sum(math.prod(x - r for r in roots[:i] + roots[i + 1:])
+                           for i in range(len(roots)))
+
+    return f, df
+
+
+class TestScanRoots:
+    LO, HI, POINTS = 1e-3, 1e3, 60
+
+    def grid(self):
+        return [self.LO * (self.HI / self.LO) ** (i / (self.POINTS - 1))
+                for i in range(self.POINTS)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(st.integers(0, 58), min_size=1, max_size=5, unique=True),
+        data=st.data(),
+        scale=st.sampled_from([-3.5, -1e-6, 1e-3, 1.0, 2.0e5]),
+    )
+    def test_simple_roots_polished_inside_their_cells(self, cells, data, scale):
+        grid = self.grid()
+        cells = sorted(cells)
+        fracs = data.draw(st.lists(st.floats(0.01, 0.99), min_size=len(cells),
+                                   max_size=len(cells)))
+        known = [grid[j] * (grid[j + 1] / grid[j]) ** t for j, t in zip(cells, fracs)]
+        f, df = product_poly(known, scale)
+        found = scan_roots(f, df, self.LO, self.HI, self.POINTS)
+        assert len(found) == len(known)
+        for j, r, x in zip(cells, known, found):
+            assert grid[j] <= x <= grid[j + 1]
+            assert abs(x - r) <= 1e-13 * r
+
+    def test_extra_nodes_split_a_cell(self):
+        # two roots in one grid cell give no sign change between its nodes;
+        # a node between them brings both back
+        grid = self.grid()
+        a, b = grid[20], grid[21]
+        r1, r2 = a + 0.3 * (b - a), a + 0.6 * (b - a)
+        f, df = product_poly([r1, r2], 1.0)
+        assert scan_roots(f, df, self.LO, self.HI, self.POINTS) == []
+        found = scan_roots(f, df, self.LO, self.HI, self.POINTS, extra=[0.5 * (r1 + r2)])
+        assert found == pytest.approx([r1, r2], rel=1e-13)
+
+    def test_exact_zero_on_a_node(self):
+        grid = self.grid()
+        f, df = product_poly([grid[10]], 1.0)
+        assert scan_roots(f, df, self.LO, self.HI, self.POINTS) == [grid[10]]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from varinterp.errors import NoCandidate
+from varinterp.errors import NoCandidate, VarInterpError
 from varinterp.models import AHO_B0, aho_omega1, builtin
 from varinterp.reexpand import build_trial
 from varinterp.series import ScalingLaw, StrongSeries, WeakSeries
@@ -166,3 +166,13 @@ class TestInterpolant:
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError):
             interpolant(builtin("aho"), [-0.5])
+
+    def test_energy_weak_tail_fails_only_typed(self):
+        # the stationary point hugs Omega = 1 here; a failure must be typed
+        ext, _ = extend_model(builtin("polaron_energy"))
+        for g in np.geomspace(1e-9, 1e-2, 71):
+            try:
+                pt = interpolant(ext, [g])[0]
+            except VarInterpError:
+                continue
+            assert pt.Omega > 0 and math.isfinite(pt.value)
