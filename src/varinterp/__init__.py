@@ -10,6 +10,7 @@ and the optical polaron (ground-state energy and effective mass).
 
 from .errors import (
     DegenerateCurvature,
+    FloatOverflow,
     IllConditioned,
     NoCandidate,
     NoConvergence,
@@ -45,7 +46,6 @@ from .solvers import (
     find_omega,
     infer_coefficients,
     interpolant,
-    interpolate_series,
 )
 from .strong_limit import StrongCoeffs, b_of_c, b_poly, correct_bn, optimize_c
 
@@ -58,6 +58,7 @@ __all__ = [
     "DegenerateCurvature",
     "FeynmanParams",
     "FitResult",
+    "FloatOverflow",
     "FrequencyResult",
     "GridPoint",
     "IllConditioned",
@@ -91,6 +92,5 @@ __all__ = [
     "find_omega",
     "infer_coefficients",
     "interpolant",
-    "interpolate_series",
     "optimize_c",
 ]

@@ -115,6 +115,11 @@ def load_model_file(path: str) -> ModelSpec:
     if not all(math.isfinite(b) for b in spec.known_strong):
         raise ConfigError(
             f"{path}: strong_targets must be finite, got {kv['strong_targets']!r}")
+    # trial and strong-coupling polys need p - q n in halves up to the inferred order
+    for n in range(len(weak_fracs) + len(spec.known_strong)):
+        if (2 * (law.p - law.q * n)).denominator != 1:
+            raise ConfigError(
+                f"{path}: p - q n must be a half-integer, got {law.p - law.q * n} at n = {n}")
     return spec
 
 
@@ -351,6 +356,9 @@ def _config_from_args(args) -> RunConfig:
         criteria=tuple(args.criteria) if getattr(args, "criteria", None) else None,
     )
     if args.command == "interpolate":
+        if not (math.isfinite(cfg.alpha_min) and math.isfinite(cfg.alpha_max)):
+            raise ConfigError(
+                f"grid bounds must be finite, got {cfg.alpha_min}, {cfg.alpha_max}")
         if cfg.points < 2:
             raise ConfigError(f"need at least 2 grid points, got {cfg.points}")
         if not cfg.alpha_min < cfg.alpha_max:

@@ -17,6 +17,10 @@ class NoCandidate(VarInterpError):
     """Neither an extremum nor a turning point was found in the scan window."""
 
 
+class FloatOverflow(VarInterpError):
+    """A trial-function sum left the float range (a coupling far too large)."""
+
+
 class NoConvergence(VarInterpError):
     """Iteration exhausted without meeting the residual target."""
 

@@ -62,7 +62,7 @@ class ModelSpec:
     coupling_name: str = "alpha"
 
     def to_alpha(self, coupling: float) -> float:
-        return float(self.coupling_scale) * coupling
+        return float(self.coupling_scale * coupling)
 
     def apply_prefactor(self, alpha: float, w_value: float) -> float:
         if self.prefactor == "neg_alpha":

@@ -14,9 +14,11 @@ All f-polynomials are exact Laurent polynomials; derivatives are analytic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import FloatOverflow
 from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general
 
 __all__ = ["build_fn", "build_trial", "TrialFunction"]
@@ -54,52 +56,45 @@ def _term_poly(n: int, N: int, law: ScalingLaw) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class TrialFunction:
-    """Reexpanded series with its exact per-order Laurent polynomials."""
+    """Reexpanded series: exact per-order polynomials and their float table.
+
+    `table[k]` holds d^k W_N / dOmega^k, k = 0..3, as (n, e, c) monomials
+    c * alpha^n * Omega^e, each c rounded once with w and a_n bound exactly.
+    """
 
     coeffs: tuple[Fraction, ...]
     law: ScalingLaw
     omega: float
     term_polys: tuple[LaurentPoly, ...]
-    d1_polys: tuple[LaurentPoly, ...]
-    d2_polys: tuple[LaurentPoly, ...]
-    d3_polys: tuple[LaurentPoly, ...]
+    table: tuple[tuple[tuple[int, float, float], ...], ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _combine(self, polys, alpha: float, Omega: float) -> float:
+    def _monomials(self, alpha: float, Omega: float, k: int):
         if Omega <= 0:
             raise ValueError(f"trial frequency must be positive, got {Omega}")
-        total = 0.0
-        apow = 1.0
-        for a, poly in zip(self.coeffs, polys):
-            if not poly.is_zero():
-                total += float(a) * apow * poly.eval(Omega, self.omega)
-            apow *= alpha
-        return total
+        return (c * alpha**n * Omega**e for n, e, c in self.table[k])
 
-    def eval(self, alpha: float, Omega: float) -> float:
-        return self._combine(self.term_polys, alpha, Omega)
-
-    def _deriv_polys(self, k: int) -> tuple[LaurentPoly, ...]:
+    def _deriv_monomials(self, alpha: float, Omega: float, k: int):
         if k not in (1, 2, 3):
             raise ValueError(f"only derivatives of order 1 to 3 supported, got k={k}")
-        return (self.d1_polys, self.d2_polys, self.d3_polys)[k - 1]
+        return self._monomials(alpha, Omega, k)
+
+    def eval(self, alpha: float, Omega: float) -> float:
+        return _fsum(self._monomials(alpha, Omega, 0))
 
     def deriv(self, alpha: float, Omega: float, k: int = 1) -> float:
-        return self._combine(self._deriv_polys(k), alpha, Omega)
+        return _fsum(self._deriv_monomials(alpha, Omega, k))
 
     def deriv_scale(self, alpha: float, Omega: float, k: int = 1) -> float:
         """Sum of absolute monomial contributions; tolerance yardstick."""
-        polys = self._deriv_polys(k)
-        total = 0.0
-        apow = 1.0
-        for a, poly in zip(self.coeffs, polys):
-            if not poly.is_zero():
-                total += abs(float(a) * apow) * poly.eval_abs(Omega, self.omega)
-            apow *= alpha
-        return total
+        return _fsum(abs(m) for m in self._deriv_monomials(alpha, Omega, k))
+
+
+def _fsum(monomials) -> float:
+    """math.fsum, reporting a sum that leaves the float range as a typed error."""
+    try:
+        return math.fsum(monomials)
+    except (OverflowError, ValueError) as exc:  # float power, or inf - inf
+        raise FloatOverflow(f"trial function overflows: {exc}") from exc
 
 
 def build_trial(s: WeakSeries, law: ScalingLaw, omega: float = 1.0) -> TrialFunction:
@@ -107,10 +102,11 @@ def build_trial(s: WeakSeries, law: ScalingLaw, omega: float = 1.0) -> TrialFunc
         raise ValueError(f"baseline frequency must be positive, got {omega}")
     N = s.order
     polys = tuple(_term_poly(n, N, law) for n in range(N + 1))
-    d1 = tuple(p.diff() for p in polys)
-    d2 = tuple(p.diff() for p in d1)
-    d3 = tuple(p.diff() for p in d2)
-    return TrialFunction(
-        coeffs=s.coeffs, law=law, omega=omega,
-        term_polys=polys, d1_polys=d1, d2_polys=d2, d3_polys=d3,
-    )
+    level = [p.subs_w(omega).scale(a) for p, a in zip(polys, s.coeffs)]
+    table = []
+    for _ in range(4):
+        table.append(tuple((n, e2 / 2, float(row[0]))
+                           for n, p in enumerate(level) for e2, row in p.items()))
+        level = [p.diff() for p in level]
+    return TrialFunction(coeffs=s.coeffs, law=law, omega=omega,
+                         term_polys=polys, table=tuple(table))

@@ -28,7 +28,6 @@ __all__ = [
     "find_omega",
     "infer_coefficients",
     "extend_model",
-    "interpolate_series",
     "interpolant",
 ]
 
@@ -63,11 +62,12 @@ def find_omega(
     """
     if alpha < 0:
         raise ValueError(f"coupling must be nonnegative, got {alpha}")
+    alpha = float(alpha)  # numpy scalars would slow every trial evaluation
     w = t.omega
     if alpha == 0.0:
         return FrequencyResult(Omega=w, kind="extremum", candidates=1)
     hi = 10.0 * w
-    if c_hint is not None and alpha > 0:
+    if c_hint is not None:
         hi = max(hi, 10.0 * c_hint * alpha ** (1.0 / float(t.law.q)))
     else:
         hi = max(hi, 10.0 * alpha ** (1.0 / float(t.law.q)))
@@ -285,28 +285,6 @@ class GridPoint:
     kind: str
 
 
-def interpolate_series(
-    weak: WeakSeries, law: ScalingLaw, omega: float, alphas
-) -> list[GridPoint]:
-    """find_omega + evaluation over a coupling grid (no prefactor handling)."""
-    t = build_trial(weak, law, omega)
-    try:
-        sc = strong_limit.optimize_c(weak, law)
-        c_hint = sc.c
-        b0pp = sc.polys[0].diff().diff()
-        curvature = _sign(b0pp.eval(sc.c)) if not b0pp.is_zero() else None
-    except NoExtremum:
-        c_hint = None
-        curvature = None
-    out = []
-    for a in alphas:
-        if a < 0:
-            raise ValueError(f"grid values must be nonnegative, got {a}")
-        r = find_omega(t, a, c_hint=c_hint, curvature=curvature)
-        out.append(GridPoint(alpha=a, Omega=r.Omega, value=t.eval(a, r.Omega), kind=r.kind))
-    return out
-
-
 def interpolant(spec, couplings) -> list[GridPoint]:
     """Optimized approximant over a grid in the model's native coupling.
 
@@ -314,10 +292,19 @@ def interpolant(spec, couplings) -> list[GridPoint]:
     -alpha for the polaron energy); `alpha` in each point is the native
     coupling as supplied.
     """
-    alphas = [spec.to_alpha(g) for g in couplings]
-    pts = interpolate_series(spec.weak, spec.law, spec.omega, alphas)
-    return [
-        GridPoint(alpha=g, Omega=pt.Omega,
-                  value=spec.apply_prefactor(pt.alpha, pt.value), kind=pt.kind)
-        for g, pt in zip(couplings, pts)
-    ]
+    t = build_trial(spec.weak, spec.law, spec.omega)
+    try:
+        sc = strong_limit.optimize_c(spec.weak, spec.law)
+        c_hint = sc.c
+        b0pp = sc.polys[0].diff().diff()
+        curvature = _sign(b0pp.eval(sc.c)) if not b0pp.is_zero() else None
+    except NoExtremum:
+        c_hint = None
+        curvature = None
+    out = []
+    for g in couplings:
+        a = spec.to_alpha(g)
+        r = find_omega(t, a, c_hint=c_hint, curvature=curvature)
+        value = spec.apply_prefactor(a, t.eval(a, r.Omega))
+        out.append(GridPoint(alpha=g, Omega=r.Omega, value=value, kind=r.kind))
+    return out

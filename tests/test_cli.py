@@ -79,6 +79,8 @@ class TestInterpolate:
         assert run(["interpolate", "--model", "aho", "--points", "1"]) == 2
         assert run(["interpolate", "--model", "aho", "--alpha-min", "0",
                     "--alpha-max", "1", "--points", "4", "--log"]) == 2
+        for bound in ("--alpha-max=inf", "--alpha-max=nan", "--alpha-min=-inf"):
+            assert run(["interpolate", "--model", "aho", bound]) == 2
         bad = tmp_path / "bad.model"
         bad.write_text("name = x\nweak_coeffs = 1, oops\np = 1\nq = 1\n")
         assert run(["interpolate", "--model-file", str(bad)]) == 2
@@ -93,6 +95,14 @@ class TestInterpolate:
         assert "inference failed" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_overflowing_coupling_exits_3(self, tmp_path, capsys):
+        # W_N ~ alpha^4 leaves the float range; no NaN row may be written
+        out = tmp_path / "mass.csv"
+        assert run(["interpolate", "--model", "polaron_mass", "--alpha-min", "1e70",
+                    "--alpha-max", "1e80", "--points", "2", "--out", str(out)]) == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, line", [
     ("infer", "strong_targets = nan"),
@@ -106,6 +116,16 @@ def test_non_finite_model_values_exit_2(tmp_path, capsys, command, line):
     assert run([command, "--model-file", str(mf),
                 "--out", str(tmp_path / "out.csv")]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["interpolate", "infer"])
+@pytest.mark.parametrize("law", ["p = 1/3\nq = 3", "p = 1\nq = 1/3"])
+def test_non_half_integer_powers_exit_2(tmp_path, capsys, command, law):
+    mf = tmp_path / "third.model"
+    mf.write_text(f"name = x\nweak_coeffs = 1/2, 3/4\n{law}\nstrong_targets = 1.0\n")
+    assert run([command, "--model-file", str(mf),
+                "--out", str(tmp_path / "out.csv")]) == 2
+    assert "half-integer" in capsys.readouterr().err
 
 
 class TestInfer:

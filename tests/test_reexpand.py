@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varinterp.models import aho_omega1, builtin
 from varinterp.reexpand import build_fn, build_trial
@@ -104,7 +107,36 @@ def test_argument_validation():
     t = build_trial(WeakSeries([F(1, 2)]), ScalingLaw(1, 3))
     with pytest.raises(ValueError):
         t.eval(1.0, 0.0)
-    with pytest.raises(ValueError):
-        t.deriv(1.0, 1.0, 4)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            t.deriv(1.0, 1.0, k)
+        with pytest.raises(ValueError):
+            t.deriv_scale(1.0, 1.0, k)
     with pytest.raises(ValueError):
         build_trial(WeakSeries([1]), ScalingLaw(1, 1), omega=-1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p2=st.integers(-8, 16),
+    q2=st.integers(1, 8),
+    coeffs=st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
+                    min_size=1, max_size=5),
+    omega=st.floats(0.2, 5.0),
+    alpha=st.floats(0.0, 50.0),
+    Omega=st.floats(0.05, 20.0),
+)
+def test_compiled_table_matches_exact_polys(p2, q2, coeffs, omega, alpha, Omega):
+    """eval/deriv/deriv_scale agree with the exact, w-symbolic polynomials."""
+    t = build_trial(WeakSeries(coeffs), ScalingLaw(F(p2, 2), F(q2, 2)), omega)
+    polys = t.term_polys
+    for k in range(4):
+        value = math.fsum(float(a) * alpha**n * P.eval(Omega, omega)
+                          for n, (a, P) in enumerate(zip(coeffs, polys)))
+        scale = math.fsum(abs(float(a)) * alpha**n * P.eval_abs(Omega, omega)
+                          for n, (a, P) in enumerate(zip(coeffs, polys)))
+        got = t.eval(alpha, Omega) if k == 0 else t.deriv(alpha, Omega, k)
+        assert abs(got - value) <= 1e-13 * scale
+        if k:
+            assert abs(t.deriv_scale(alpha, Omega, k) - scale) <= 1e-13 * scale
+        polys = [P.diff() for P in polys]

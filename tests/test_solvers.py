@@ -14,7 +14,6 @@ from varinterp.solvers import (
     find_omega,
     infer_coefficients,
     interpolant,
-    interpolate_series,
 )
 from varinterp.strong_limit import b_of_c
 
@@ -68,8 +67,7 @@ class TestFindOmega:
     def test_continuity_on_fine_grid(self):
         """The selected frequency moves smoothly along a geometric grid."""
         ext, sol = extend_model(builtin("polaron_energy"))
-        pts = interpolate_series(ext.weak, ext.law, 1.0,
-                                 np.geomspace(0.05, 50.0, 120))
+        pts = interpolant(ext, np.geomspace(0.05, 50.0, 120))
         omegas = [p.Omega for p in pts]
         for a, b in zip(omegas, omegas[1:]):
             assert 0.7 < b / a < 1.5
@@ -137,8 +135,7 @@ class TestInterpolant:
     def test_energy_frequency_fit_formula(self):
         """Optimal frequency roughly follows c alpha + 1/(1 + 0.07 alpha)."""
         ext, sol = extend_model(builtin("polaron_energy"))
-        pts = interpolate_series(ext.weak, ext.law, 1.0,
-                                 np.geomspace(0.1, 30.0, 25))
+        pts = interpolant(ext, np.geomspace(0.1, 30.0, 25))
         for p in pts:
             fit = sol.c * p.alpha + 1.0 / (1.0 + 0.07 * p.alpha)
             assert p.Omega == pytest.approx(fit, rel=0.05)

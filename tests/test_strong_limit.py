@@ -108,10 +108,10 @@ def test_mass_corrected_coefficients():
 def test_corrected_series_matches_trial_at_large_coupling():
     """The strong series with final coefficients reproduces the optimized
     approximant deep in the strong-coupling regime."""
-    from varinterp.solvers import interpolate_series
+    from varinterp.solvers import interpolant
 
     ext, _ = extend_model(builtin("polaron_mass"))
     sc = correct_bn(optimize_c(ext.weak, ext.law))
     series = StrongSeries(ext.law, sc.b_final)
-    for pt in interpolate_series(ext.weak, ext.law, 1.0, [1e3, 1e4]):
+    for pt in interpolant(ext, [1e3, 1e4]):
         assert pt.value == pytest.approx(series.eval(pt.alpha), rel=1e-9)
