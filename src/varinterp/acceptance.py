@@ -194,8 +194,9 @@ def crit_feynman() -> CriterionResult:
     """
     t0 = time.perf_counter()
     als = np.linspace(0.01, 0.1, 10)
-    Es = np.array([models.feynman_energy(a)[0] for a in als])
-    ms = np.array([models.feynman_mass(a) for a in als])
+    sols = [models.feynman_energy(a) for a in als]
+    Es = np.array([E for E, _ in sols])
+    ms = np.array([models._mass_at(a, prm) for a, (_, prm) in zip(als, sols)])
     A = np.column_stack([als**2, als**3, als**4])
     c2 = np.linalg.lstsq(A, Es + als, rcond=None)[0][0]
     Am = np.column_stack([als, als**2, als**3])
@@ -204,10 +205,10 @@ def crit_feynman() -> CriterionResult:
     d_weak_m = abs(c1m - 1.0 / 6.0)
 
     alpha = 200.0
-    E, _ = models.feynman_energy(alpha)
+    E, prm = models.feynman_energy(alpha)
     strong_e = (E + 2.8294) / alpha**2
     d_strong_e = abs(strong_e - (-0.106103))
-    m = models.feynman_mass(alpha)
+    m = models._mass_at(alpha, prm)
     strong_m = (m + 1.012775 * alpha**2 - 11.85579) / alpha**4
     d_strong_m = abs(strong_m / 0.020141 - 1.0)
     elapsed = time.perf_counter() - t0

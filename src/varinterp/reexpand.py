@@ -92,9 +92,12 @@ class TrialFunction:
 def _fsum(monomials) -> float:
     """math.fsum, reporting a sum that leaves the float range as a typed error."""
     try:
-        return math.fsum(monomials)
+        total = math.fsum(monomials)
     except (OverflowError, ValueError) as exc:  # float power, or inf - inf
         raise FloatOverflow(f"trial function overflows: {exc}") from exc
+    if not math.isfinite(total):  # a float product overflows without raising
+        raise FloatOverflow(f"trial function overflows: sum is {total}")
+    return total
 
 
 def build_trial(s: WeakSeries, law: ScalingLaw, omega: float = 1.0) -> TrialFunction:

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varinterp import models
 from varinterp.models import (
     AHO_B0,
     FEYNMAN_MASS_STRONG,
@@ -12,6 +15,13 @@ from varinterp.models import (
     builtin,
     feynman_energy,
     feynman_mass,
+)
+from varinterp.models import (
+    _energy_integrand,
+    _fixed_gauss,
+    _mass_integrand,
+    _split_quad,
+    _trial_energy,
 )
 
 
@@ -108,3 +118,44 @@ class TestFeynman:
         assert FEYNMAN_MASS_STRONG == pytest.approx(16.0 / (81.0 * math.pi**2))
         m = feynman_mass(150.0)
         assert m / 150.0**4 == pytest.approx(FEYNMAN_MASS_STRONG, rel=2e-2)
+
+
+class TestFeynmanRules:
+    @settings(max_examples=100, deadline=None)
+    @given(v=st.floats(3.0, 25.0), frac=st.floats(0.0, 1.0))
+    def test_fixed_gauss_matches_adaptive_quad(self, v, frac):
+        w = 0.5 + frac * (v - 0.5)
+        for f in (_energy_integrand, _mass_integrand):
+            assert _fixed_gauss(f, v, w) == pytest.approx(_split_quad(f, v, w), rel=1e-12)
+
+    def test_energy_is_the_adaptive_value_at_the_optimum(self):
+        for a in (0.3, 7.0):
+            E, prm = feynman_energy(a)
+            assert E == _trial_energy(a, prm.v, prm.w)
+
+    def test_search_calls_no_quad(self, monkeypatch):
+        calls = []
+        quad = models.integrate.quad
+
+        def counting_quad(*args, **kw):
+            calls.append(args[1:3])
+            return quad(*args, **kw)
+
+        monkeypatch.setattr(models.integrate, "quad", counting_quad)
+        feynman_energy(2.0)
+        assert len(calls) == 2
+        feynman_mass(2.0)
+        assert len(calls) == 2 + 4
+
+    @pytest.mark.parametrize("alpha, energy, mass", [
+        (0.01, -0.010001235202731659, 1.001669139372564),
+        (1.0, -1.0130308353603328, 1.1955146999080342),
+        (5.0, -5.440144499420968, 3.885619999511263),
+        (12.0, -18.14339468551812, 281.6219007330714),
+    ])
+    def test_frozen_values(self, alpha, energy, mass):
+        # frozen from a search priced by adaptive quad; the mass follows the
+        # optimum (v, w), which Nelder-Mead fixes to ~1e-7 relative, while
+        # the energy is stationary there
+        assert feynman_energy(alpha)[0] == pytest.approx(energy, rel=1e-12)
+        assert feynman_mass(alpha) == pytest.approx(mass, rel=1e-6)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from varinterp.errors import NoCandidate, VarInterpError
+from varinterp.errors import FloatOverflow, NoCandidate, VarInterpError
 from varinterp.models import AHO_B0, aho_omega1, builtin
 from varinterp.reexpand import build_trial
 from varinterp.series import ScalingLaw, StrongSeries, WeakSeries
@@ -173,3 +173,9 @@ class TestInterpolant:
             except VarInterpError:
                 continue
             assert pt.Omega > 0 and math.isfinite(pt.value)
+
+    def test_overflowing_value_raises(self):
+        # Omega certifies here, but one monomial of W_N overflows to inf
+        ext, _ = extend_model(builtin("polaron_mass"))
+        with pytest.raises(FloatOverflow):
+            interpolant(ext, [10**77.5])
