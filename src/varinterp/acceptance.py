@@ -91,7 +91,7 @@ def crit_aho_closed_form() -> CriterionResult:
     t = build_trial(ext.weak, ext.law)
     worst = 0.0
     for g in np.geomspace(1e-3, 1e3, 40):
-        r = solvers.find_omega(t, g / 4.0, c_hint=sol.c)
+        r = solvers.find_omega(t, g / 4.0)
         worst = max(worst, abs(r.Omega / models.aho_omega1(g, a1) - 1.0))
     ok = c_rel <= 1e-12 and worst <= 1e-10
     return _result("aho_closed_form", time.perf_counter() - t0, ok,

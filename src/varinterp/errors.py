@@ -18,7 +18,7 @@ class NoCandidate(VarInterpError):
 
 
 class FloatOverflow(VarInterpError):
-    """A trial-function sum left the float range (a coupling far too large)."""
+    """A trial-function sum, a trial frequency or a root of K left the float range."""
 
 
 class NoConvergence(VarInterpError):

@@ -2,8 +2,8 @@
 
 Everything here is exact: coefficients are `fractions.Fraction` (floats are
 converted to their exact binary value), and Laurent exponents may be
-half-integers, stored doubled.  Floating point enters only in `eval`, and in
-`scan_roots`, the one root finder behind every stationary-point search.
+half-integers, stored doubled.  Floating point enters only in `eval` and in
+`_bracketed_newton`, the bracketed root finder of `scan_roots` and `find_omega`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Trial-frequency optimization and weak-coefficient inference.
 
-`find_omega` locates the stationary trial frequency of a reexpanded series
-(turning points as fallback when no extremum exists).  `infer_coefficients`
-runs the algorithm backwards: given leading strong-coupling coefficients, it
+`find_omega` finds the stationary trial frequency on the branch of the most
+negative root of K (scanning when there is none).  `infer_coefficients` runs
+the algorithm backwards: given leading strong-coupling coefficients, it
 solves for unknown high-order weak coefficients together with the growth
 constant c by damped Newton iteration on an analytic Jacobian.
 """
@@ -16,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import strong_limit
-from .errors import NoCandidate, NoConvergence, NoExtremum
+from .errors import FloatOverflow, NoCandidate, NoConvergence, NoExtremum
 from .reexpand import TrialFunction, build_trial
-from .series import LaurentPoly, ScalingLaw, WeakSeries, scan_roots
+from .series import LaurentPoly, ScalingLaw, WeakSeries, _bracketed_newton, scan_roots
 
 __all__ = [
     "FrequencyResult",
@@ -39,61 +39,48 @@ class FrequencyResult:
     candidates: int
 
 
-def _sign(x: float) -> int | None:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return None
-
-
-def find_omega(
-    t: TrialFunction,
-    alpha: float,
-    c_hint: float | None = None,
-    curvature: int | None = None,
-) -> FrequencyResult:
+def find_omega(t: TrialFunction, alpha: float) -> FrequencyResult:
     """Stationary trial frequency for one coupling value.
 
-    `curvature`, when given, is the sign of b0''(c) at the optimal growth
-    constant; only extrema whose second derivative carries that sign continue
-    into the strong-coupling limit, so candidates are filtered by it before
-    the smallest positive one is taken.
+    The extremum lies on the branch alpha Omega^-q = r* (w^2/Omega^2 - 1) of the
+    most negative root r* of K (`reexpand.branch_roots`); on Omega > w, one
+    bracketed Newton solve finds it, as Omega^(q-2) (Omega^2 - w^2) increases.
+    Without a negative root, extrema and then turning points are scanned for.
     """
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails this too
         raise ValueError(f"coupling must be nonnegative, got {alpha}")
     alpha = float(alpha)  # numpy scalars would slow every trial evaluation
-    w = t.omega
+    w, q = t.omega, float(t.law.q)
     if alpha == 0.0:
         return FrequencyResult(Omega=w, kind="extremum", candidates=1)
-    hi = 10.0 * w
-    if c_hint is not None:
-        hi = max(hi, 10.0 * c_hint * alpha ** (1.0 / float(t.law.q)))
-    else:
-        hi = max(hi, 10.0 * alpha ** (1.0 / float(t.law.q)))
-    lo, points = 1e-3 * w, 400
-
-    def deriv(k):
-        return lambda x: t.deriv(alpha, x, k)
-
-    # turning points split the window into monotone pieces of dW/dOmega;
-    # adding them to the grid catches extremum pairs that straddle a
-    # turning point more closely than the grid spacing (small-alpha regime)
-    turning = scan_roots(deriv(2), deriv(3), lo, hi, points)
-    roots = scan_roots(deriv(1), deriv(2), lo, hi, points, extra=turning)
     kind = "extremum"
-    if not roots:
-        roots = turning
-        kind = "turning_point"
+    try:  # a float power of the window or of a Newton step may overflow
+        if t.branch_roots:
+            A = alpha / -t.branch_roots[0]  # underflows to 0 only where Omega rounds to w
+            if A == math.inf:
+                raise OverflowError(f"alpha/(-r*) overflows, r* = {t.branch_roots[0]}")
+            hi = max(1.5 * w, (2.0 * A) ** (1.0 / q))
+            roots = [_bracketed_newton(lambda x: x ** (q - 2) * (x - w) * (x + w) - A,
+                                       lambda x: x ** (q - 3) * (q * x * x - (q - 2) * w * w),
+                                       w, hi, -A) if A else w]
+        else:
+            def deriv(k):
+                return lambda x: t.deriv(alpha, x, k)
+
+            lo, hi = 1e-3 * w, max(10.0 * w, 10.0 * alpha ** (1.0 / q))
+            # turning points split the window into monotone pieces of dW/dOmega;
+            # adding them to the grid catches extremum pairs that straddle a
+            # turning point more closely than the grid spacing (small-alpha regime)
+            turning = scan_roots(deriv(2), deriv(3), lo, hi, 400)
+            roots = scan_roots(deriv(1), deriv(2), lo, hi, 400, extra=turning)
+            if not roots:
+                roots, kind = turning, "turning_point"
+    except OverflowError as exc:
+        raise FloatOverflow(
+            f"trial frequency leaves the float range at alpha={alpha}: {exc}") from exc
     if not roots:
         raise NoCandidate(f"no stationary point or turning point for alpha={alpha}")
-
-    candidates = roots
-    if kind == "extremum" and curvature is not None and len(roots) > 1:
-        matching = [r for r in roots if t.deriv(alpha, r, 2) * curvature > 0]
-        if matching:
-            candidates = matching
-    Omega = min(candidates)
+    Omega = min(roots)
     k = 1 if kind == "extremum" else 2
     resid = abs(t.deriv(alpha, Omega, k))
     scale = t.deriv_scale(alpha, Omega, k)
@@ -101,7 +88,7 @@ def find_omega(
         raise NoCandidate(
             f"stationary-point residual {resid:.3e} above certificate at alpha={alpha}"
         )
-    return FrequencyResult(Omega=Omega, kind=kind, candidates=len(roots))
+    return FrequencyResult(Omega=Omega, kind=kind, candidates=len(t.branch_roots or roots))
 
 
 @dataclass(frozen=True)
@@ -229,7 +216,7 @@ def infer_coefficients(p: InferenceProblem) -> InferenceSolution:
     try:
         prefix = WeakSeries(list(p.known_a) + [0] * p.unknown_count)
         inits.append(strong_limit.optimize_c(prefix, p.law).c)
-    except (NoExtremum, ValueError):
+    except (NoExtremum, FloatOverflow, ValueError):
         pass
     inits += [10.0 ** e for e in (-2, -1, 0, 1, 2)]
 
@@ -293,18 +280,10 @@ def interpolant(spec, couplings) -> list[GridPoint]:
     coupling as supplied.
     """
     t = build_trial(spec.weak, spec.law, spec.omega)
-    try:
-        sc = strong_limit.optimize_c(spec.weak, spec.law)
-        c_hint = sc.c
-        b0pp = sc.polys[0].diff().diff()
-        curvature = _sign(b0pp.eval(sc.c)) if not b0pp.is_zero() else None
-    except NoExtremum:
-        c_hint = None
-        curvature = None
     out = []
     for g in couplings:
         a = spec.to_alpha(g)
-        r = find_omega(t, a, c_hint=c_hint, curvature=curvature)
+        r = find_omega(t, a)
         value = spec.apply_prefactor(a, t.eval(a, r.Omega))
         out.append(GridPoint(alpha=g, Omega=r.Omega, value=value, kind=r.kind))
     return out

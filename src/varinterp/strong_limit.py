@@ -6,7 +6,8 @@ strong-coupling expansion alpha^(p/q) * sum b_n(c) alpha^(-2n/q) with
     b_n(c) = sum_l a_l sum_{j=n}^{N-l} C((p - l q)/2, j) C(j, n) (-1)^(j-n)
              * c^(p - l q - 2 n).
 
-The growth constant c is the smallest positive stationary point of b_0.
+The growth constant c, the smallest positive stationary point of b_0, is
+(-r*)^(-1/q) for r* the first of `reexpand.branch_roots`: db0/dc ~ K(-c^-q).
 Because c itself drifts with alpha (c(alpha) = c + c_1 alpha^(-2/q) + ...),
 the raw b_n(c) are converted to final coefficients by the correction rows
 implemented in `correct_bn`; the two leading coefficients are untouched.
@@ -17,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DegenerateCurvature, NoExtremum
-from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general, scan_roots
+from .errors import DegenerateCurvature, FloatOverflow, NoExtremum
+from .reexpand import branch_roots
+from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general
 
 __all__ = ["StrongCoeffs", "b_poly", "b_of_c", "coeff_basis_poly", "optimize_c", "correct_bn"]
 
@@ -69,19 +71,15 @@ class StrongCoeffs:
 
 def optimize_c(s: WeakSeries, law: ScalingLaw) -> StrongCoeffs:
     """Smallest positive stationary point of b_0(c), plus raw b_n values."""
-    p0 = b_poly(s, law, 0)
-    d1 = p0.diff()
-    d2 = d1.diff()
-    roots = scan_roots(d1.eval, d2.eval, 1e-4, 1e4, 600)
+    roots = branch_roots(s, law)
     if not roots:
-        raise NoExtremum("db0/dc has no positive root in the scan window")
-    c = min(roots)
-    scale = max(abs(float(cf)) * c ** (e2 / 2 - 1) for e2, row in p0.items()
-                for cf in row.values())
-    if abs(d1.eval(c)) > 1e-12 * max(scale, 1e-300):
-        raise NoExtremum(f"stationary-point residual too large at c={c}")
+        raise NoExtremum("K(r) has no negative root, so b_0(c) has no stationary point")
+    try:
+        c = (-roots[0]) ** (-1.0 / float(law.q))
+    except OverflowError as exc:
+        raise FloatOverflow(f"growth constant leaves the float range: {exc}") from exc
     polys = tuple(b_poly(s, law, n) for n in range(MAX_CORRECTED_ORDER + 1))
-    b_raw = tuple(p.eval(c) if not p.is_zero() else 0.0 for p in polys)
+    b_raw = tuple(p.eval(c) for p in polys)
     return StrongCoeffs(c=c, b_raw=b_raw, polys=polys)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from varinterp.errors import DegenerateCurvature, NoExtremum
 from varinterp.models import builtin
+from varinterp.reexpand import branch_roots
 from varinterp.series import LaurentPoly, ScalingLaw, StrongSeries, WeakSeries
 from varinterp.solvers import extend_model
 from varinterp.strong_limit import (
@@ -61,6 +62,56 @@ def test_optimize_c_mass_closed_form():
 def test_no_extremum_for_monotone_b0():
     with pytest.raises(NoExtremum):
         optimize_c(WeakSeries([1]), ScalingLaw(4, 1))
+
+
+def bender_wu(N):
+    """Exact a_0..a_N of E(lambda) for H = p^2/2 + x^2/2 + lambda x^4.
+
+    Rayleigh-Schroedinger recursion of Bender & Wu, Phys. Rev. 184, 1231
+    (1969): psi = exp(-x^2/2) sum_n lambda^n sum_j A[n][j] x^(2j).
+    """
+    A, E = [{0: F(1)}], [F(1, 2)]
+    for n in range(1, N + 1):
+        row = {}
+        for j in range(2 * n, 0, -1):
+            rhs = (j + 1) * (2 * j + 1) * row.get(j + 1, 0) - A[n - 1].get(j - 2, 0)
+            rhs += sum(E[m] * A[n - m].get(j, 0) for m in range(1, n))
+            row[j] = rhs / (2 * j)
+        A.append(row)
+        E.append(-row[1])
+    return E
+
+
+def test_bender_wu_coefficients():
+    assert bender_wu(5) == [F(1, 2), F(3, 4), F(-21, 8), F(333, 16), F(-30885, 128),
+                            F(916731, 256)]
+
+
+# growth constants of the exact oscillator series, from the roots of K
+# computed by mpmath.polyroots at 50 digits
+EXACT_AHO_C = {6: 2.4371557733757947, 12: 2.7926660240728273,
+               19: 3.0440070765955577, 24: 3.6820164356510923}
+
+
+@pytest.mark.parametrize("N", sorted(EXACT_AHO_C))
+def test_optimize_c_exact_oscillator_series(N):
+    sc = optimize_c(WeakSeries(bender_wu(N)), ScalingLaw(1, 3))
+    assert sc.c == pytest.approx(EXACT_AHO_C[N], rel=1e-14)
+
+
+def test_branch_roots_counts_on_exact_oscillator_series():
+    # number of negative real roots of K at N = 1..24, from mpmath.polyroots
+    # at 50 digits; the high orders need the rescaled numpy.roots candidates
+    E = bender_wu(24)
+    counts = [len(branch_roots(WeakSeries(E[:N + 1]), ScalingLaw(1, 3))) for N in range(1, 25)]
+    assert counts == [1, 0, 1, 0, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2]
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_exact_oscillator_series_without_extremum(N):
+    # K has no negative root at these orders: b_0(c) is monotone
+    with pytest.raises(NoExtremum):
+        optimize_c(WeakSeries(bender_wu(N)), ScalingLaw(1, 3))
 
 
 def test_b_of_c_validation():
