@@ -134,10 +134,16 @@ def _basis_tables(p: InferenceProblem):
 
 # scaled max-norm residual at which a Newton run counts as converged
 _RESID_TOL = 1e-13
+# a run stalls when its residual has not halved over this many steps
+_STALL_STEPS = 10
 
 
 def _newton_run(p: InferenceProblem, g, gp, gpp0, c0: float, max_iter: int = 200):
-    """Damped Newton from (0, ..., 0, c0): final z, F, scaled residual, steps."""
+    """Damped Newton from (0, ..., 0, c0): final z, F, scaled residual, steps.
+
+    The run ends on convergence, on a step that cannot reduce the residual,
+    or on a stall: no halving of the residual over the last _STALL_STEPS.
+    """
     k = len(p.known_a) - 1
     m = p.unknown_count
     N = k + m
@@ -176,6 +182,7 @@ def _newton_run(p: InferenceProblem, g, gp, gpp0, c0: float, max_iter: int = 200
     z = [0.0] * m + [c0]
     F = residual(z)
     nF = norm(F)
+    history = [nF]
     for it in range(1, max_iter + 1):
         if z[m] <= 0 or not all(math.isfinite(v) for v in z):
             break
@@ -195,7 +202,9 @@ def _newton_run(p: InferenceProblem, g, gp, gpp0, c0: float, max_iter: int = 200
                     improved = True
                     break
             lam *= 0.5
-        if not improved or nF <= _RESID_TOL:
+        history.append(nF)
+        if (not improved or nF <= _RESID_TOL
+                or it >= _STALL_STEPS and nF > 0.5 * history[-1 - _STALL_STEPS]):
             break
     return z, F, nF, it
 

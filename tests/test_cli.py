@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from varinterp import cli
+from varinterp import cli, solvers
+from varinterp.models import MODEL_NAMES
 
 
 def read_csv(path):
@@ -155,6 +156,17 @@ class TestInfer:
         text = capsys.readouterr().out
         assert "c = 0.0981986" in text
         assert "a3 = " in text and "a4 = " in text
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_stall_stop_leaves_output_unchanged(self, tmp_path, capsys, monkeypatch, model):
+        outputs = []
+        for stall_steps in (solvers._STALL_STEPS, 10**9):
+            monkeypatch.setattr(solvers, "_STALL_STEPS", stall_steps)
+            led = tmp_path / f"{stall_steps}.csv"
+            assert run(["infer", "--model", model, "--out", str(led)]) == 0
+            out = capsys.readouterr().out.replace(str(led), "LEDGER")
+            outputs.append((out, led.read_text()))
+        assert outputs[0] == outputs[1]
 
     def test_model_without_targets_exits_2(self, tmp_path):
         mf = tmp_path / "plain.model"

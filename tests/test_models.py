@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from varinterp.models import (
     feynman_mass,
 )
 from varinterp.models import (
+    _energy_derivs,
     _energy_integrand,
     _fixed_gauss,
     _mass_integrand,
@@ -146,6 +148,73 @@ class TestFeynmanRules:
         assert len(calls) == 2
         feynman_mass(2.0)
         assert len(calls) == 2 + 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.1, 20.0), v=st.floats(3.0, 25.0), frac=st.floats(0.0, 1.0))
+    def test_closed_form_derivatives_match_differences(self, alpha, v, frac):
+        # gradient and Hessian in (v, d = v - w) against central differences
+        w = 0.5 + frac * (v - 0.5)
+        d = v - w
+
+        def f(v, d):
+            return _trial_energy(alpha, v, v - d, rule=_fixed_gauss)
+
+        E, grad, hess = _energy_derivs(alpha, v, w)
+        f0 = f(v, d)
+        scale = max(1.0, abs(E))
+        assert E == pytest.approx(f0, rel=1e-14, abs=1e-14)
+        h = 1e-4
+        num_grad = ((f(v + h, d) - f(v - h, d)) / (2 * h), (f(v, d + h) - f(v, d - h)) / (2 * h))
+        assert grad == pytest.approx(num_grad, abs=1e-7 * scale)
+        h = 1e-3
+        num_hess = ((f(v + h, d) - 2 * f0 + f(v - h, d)) / h**2,
+                    (f(v + h, d + h) - f(v + h, d - h) - f(v - h, d + h) + f(v - h, d - h))
+                    / (4 * h * h),
+                    (f(v, d + h) - 2 * f0 + f(v, d - h)) / h**2)
+        assert hess == pytest.approx(num_hess, abs=1e-5 * scale)
+
+    def test_newton_needs_no_fallback(self, monkeypatch):
+        calls = []
+        minimize = models.optimize.minimize
+
+        def counting_minimize(*args, **kw):
+            calls.append(args[1])
+            return minimize(*args, **kw)
+
+        monkeypatch.setattr(models.optimize, "minimize", counting_minimize)
+        for a in np.geomspace(1e-6, 1000.0, 61):
+            E, prm = feynman_energy(a)
+            assert math.isfinite(E) and prm.v >= prm.w > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", [39.5, 56.2, 80.0, 200.0])
+    def test_newton_optimum_is_a_certified_minimum(self, alpha):
+        prm = models._newton_optimum(alpha)
+        _, _, (hvv, hvd, hdd) = _energy_derivs(alpha, prm.v, prm.w)
+        assert hvv > 0 and hvv * hdd > hvd * hvd
+        E = feynman_energy(alpha)[0]
+        fallback = models._nelder_mead(alpha)
+        # Nelder-Mead samples the low tail of E's evaluation noise, a few
+        # ulps wide; beyond that it may not undercut the minimum
+        assert E <= _trial_energy(alpha, fallback.v, fallback.w) + 1e-14 * abs(E)
+
+    # an absolute fatol = 1e-14, below the ulp of |E| here, left a start at
+    # maxfev = 4000 at 20, 39.5 and 80
+    @pytest.mark.parametrize("alpha", [20.0, 39.5, 40.0, 80.0])
+    def test_fallback_stops_by_tolerance(self, monkeypatch, alpha):
+        results = []
+        minimize = models.optimize.minimize
+
+        def recording_minimize(*args, **kw):
+            results.append(minimize(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(models, "_newton_optimum", lambda alpha: None)
+        monkeypatch.setattr(models.optimize, "minimize", recording_minimize)
+        E, _ = feynman_energy(alpha)
+        assert [r.status for r in results] == [0, 0, 0]
+        monkeypatch.undo()
+        assert E == pytest.approx(feynman_energy(alpha)[0], rel=1e-14)
 
     @pytest.mark.parametrize("alpha, energy, mass", [
         (0.01, -0.010001235202731659, 1.001669139372564),

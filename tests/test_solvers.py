@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from varinterp import solvers
 from varinterp.errors import FloatOverflow, NoCandidate, NoConvergence, VarInterpError
 from varinterp.models import AHO_B0, aho_omega1, builtin
 from varinterp.reexpand import build_trial
@@ -164,6 +165,22 @@ class TestInference:
             with pytest.raises(NoConvergence):
                 infer_coefficients(InferenceProblem(known_a=known_a, unknown_count=1,
                                                     known_b=(1.0,), law=ScalingLaw(1, 3)))
+
+    def test_stalled_starts_end_early(self, monkeypatch):
+        # polaron_energy's starts c0 = 10 and 100 never converge; the stall
+        # stop ends them long before the iteration cap of 200
+        runs = {}
+        newton_run = solvers._newton_run
+
+        def recording_run(p, g, gp, gpp0, c0, **kw):
+            runs[c0] = newton_run(p, g, gp, gpp0, c0, **kw)
+            return runs[c0]
+
+        monkeypatch.setattr(solvers, "_newton_run", recording_run)
+        extend_model(builtin("polaron_energy"))
+        for c0 in (10.0, 100.0):
+            _, _, resid, its = runs[c0]
+            assert resid > 1.0 and its <= 30
 
     def test_smallest_positive_growth_constant(self):
         _, sol = extend_model(builtin("polaron_energy"))
