@@ -257,8 +257,12 @@ def cmd_infer(cfg: RunConfig) -> int:
     print(f"c = {_fmt(sol.c)}")
     for k, a in enumerate(sol.extension):
         print(f"a{n0 + k} = {_fmt(a)}")
+    rule = ("the only root" if len(sol.roots) == 1 else "the smallest root, as the known "
+            "coefficients fix no growth constant" if sol.prefix_c is None else
+            f"the root nearest in log c to the prefix growth constant {_fmt(sol.prefix_c)}")
+    print("roots: " + ", ".join(_fmt(r) for r in sol.roots) + f"; c is {rule}")
     print("residuals: " + ", ".join(_fmt(r) for r in sol.residuals)
-          + f"  ({sol.iterations} iterations)")
+          + f"  ({sol.iterations} Newton polish steps)")
 
     rows = _discrepancies(spec, ext, sol)
     for q, pv, cv, src in rows:

@@ -18,15 +18,11 @@ class NoCandidate(VarInterpError):
 
 
 class FloatOverflow(VarInterpError):
-    """A trial-function sum, a trial frequency or a root of K left the float range."""
+    """A trial-function sum, a trial frequency or a polynomial root left the float range."""
 
 
 class NoConvergence(VarInterpError):
-    """Iteration exhausted without meeting the residual target."""
-
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """No solution: an iteration or a root search ended without a certified one."""
 
 
 class IllConditioned(VarInterpError):

@@ -12,13 +12,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import IllConditioned, NoConvergence
 from .series import ScalingLaw, WeakSeries, binom_general
 from .models import aho_omega1
 
 __all__ = ["aho_exact_energy", "asymptotic_fit", "FitResult", "b_numeric"]
+
+
+def eig_banded(*args, **kwargs):
+    """`scipy.linalg.eig_banded`, imported on first use (~20 MB and ~0.2 s)."""
+    from scipy.linalg import eig_banded
+    return eig_banded(*args, **kwargs)
 
 
 def _ground_state(g: float, omega: float, size: int, basis_freq: float) -> float:
@@ -119,7 +124,7 @@ def _w_scaled(s: WeakSeries, law: ScalingLaw, alpha_hat: float, sigma: float) ->
 
 
 def b_numeric(s: WeakSeries, law: ScalingLaw, n: int, c: float) -> float:
-    """Strong coefficient b_n(c) by Richardson finite differences in sigma.
+    """Strong coefficient b_n(c) at w = 1 by Richardson finite differences in sigma.
 
     Independent probe of the closed-form b_n(c): differentiates w_N
     numerically at sigma = 0 with alpha_hat = 1/c^q.

@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import FloatOverflow
-from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general
+from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general, certified_roots
 
 __all__ = ["branch_roots", "build_fn", "build_trial", "TrialFunction"]
 
@@ -109,41 +107,12 @@ def branch_roots(s: WeakSeries, law: ScalingLaw) -> tuple[float, ...]:
 
     dW_N/dW = W^(p-1) sum_n k_n y^n v^(N-n), with y = alpha W^-q, v = w^2/W^2 - 1
     and k_n = a_n (p - q n) C((p - q n)/2 - 1, N - n), so every extremum lies on
-    y = r v with K(r) = 0.  Candidates are `numpy.roots` of K(rho s), with
-    rho = |k_lo/k_hi|^(1/(hi-lo)) over the extreme nonzero degrees, polished by
-    Newton on exact K; a root is kept where exact K changes sign between its two
-    float neighbours.
+    y = r v with K(r) = 0.  The roots are certified by `series.certified_roots`.
     """
     N = s.order
     k = [a * (law.p - law.q * n) * binom_general((law.p - law.q * n) / 2 - 1, N - n)
          for n, a in enumerate(s.coeffs)]
-    nonzero = [n for n, c in enumerate(k) if c]
-    if len(nonzero) < 2:
-        return ()
-    lo, hi = nonzero[0], nonzero[-1]
-
-    def K(r, d=0):  # exact d-th derivative of K at the float r
-        return sum(c * math.perm(n, d) * Fraction(r) ** (n - d) for n, c in enumerate(k) if n >= d)
-
-    roots = set()
-    try:  # rho by logs: |k_lo/k_hi| may leave the float range where rho does not
-        ratio = abs(k[lo] / k[hi])
-        rho = Fraction(math.exp((math.log(ratio.numerator) - math.log(ratio.denominator))
-                                / (hi - lo)))
-        cands = np.roots([float(k[n] / k[hi] * rho ** (n - hi)) for n in range(hi, lo - 1, -1)])
-        for z in cands[(cands.real < 0) & (abs(cands.imag) <= 1e-6 * abs(cands))]:
-            r, prev = float(z.real) * float(rho), None
-            for _ in range(50):
-                slope = K(r, 1)
-                nr = float(r - K(r) / slope) if slope else r
-                if nr in (r, prev):
-                    break
-                prev, r = r, nr
-            if r < 0 and K(math.nextafter(r, -math.inf)) * K(math.nextafter(r, math.inf)) < 0:
-                roots.add(r)
-    except (OverflowError, ZeroDivisionError):  # rho, a scaled coefficient or a root
-        raise FloatOverflow("the roots of K leave the float range") from None
-    return tuple(sorted(roots))
+    return tuple(r for r, _ in certified_roots(k, -1))
 
 
 def build_trial(s: WeakSeries, law: ScalingLaw, omega: float = 1.0) -> TrialFunction:

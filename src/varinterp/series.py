@@ -2,8 +2,9 @@
 
 Everything here is exact: coefficients are `fractions.Fraction` (floats are
 converted to their exact binary value), and Laurent exponents may be
-half-integers, stored doubled.  Floating point enters only in `eval` and in
-`_bracketed_newton`, the bracketed root finder of `scan_roots` and `find_omega`.
+half-integers, stored doubled.  Floating point enters only in `eval`, in
+`_bracketed_newton`, the bracketed root finder of `scan_roots` and `find_omega`,
+and in `certified_roots`, the real roots of an exact polynomial.
 """
 
 from __future__ import annotations
@@ -13,12 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from .errors import FloatOverflow
+
 __all__ = [
     "binom_general",
     "WeakSeries",
     "ScalingLaw",
     "StrongSeries",
     "LaurentPoly",
+    "certified_roots",
     "scan_roots",
 ]
 
@@ -88,9 +94,6 @@ class ScalingLaw:
             raise ValueError(f"q must be positive, got {q}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def strong_power(self, n: int) -> Fraction:
-        return (self.p - 2 * n) / self.q
 
 
 @dataclass(frozen=True)
@@ -172,9 +175,6 @@ class LaurentPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(tuple(sorted((e, tuple(sorted(r.items()))) for e, r in self._terms.items())))
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "LaurentPoly(0)"
@@ -206,9 +206,6 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._merged(other, -1)
 
-    def __neg__(self) -> "LaurentPoly":
-        return self.scale(-1)
-
     def scale(self, k) -> "LaurentPoly":
         k = _frac(k)
         if k == 0:
@@ -228,18 +225,6 @@ class LaurentPoly:
                         dst[m] = dst.get(m, Fraction(0)) + ca * cb
         return LaurentPoly(out)
 
-    def pow(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def shift(self, twice_exp: int) -> "LaurentPoly":
         """Multiply by X^(twice_exp/2)."""
         return LaurentPoly({e2 + twice_exp: row for e2, row in self._terms.items()})
@@ -258,26 +243,19 @@ class LaurentPoly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval(self, x: float, w: float = 1.0) -> float:
+    def _monomials(self, x: float, w: float):
         if x <= 0:
             raise ValueError(f"evaluation needs X > 0, got {x}")
         w2 = w * w
-        return math.fsum(
-            float(c) * w2**m * x ** (e2 / 2.0)
-            for e2, row in self._terms.items()
-            for m, c in row.items()
-        )
+        return (float(c) * w2**m * x ** (e2 / 2.0)
+                for e2, row in self._terms.items() for m, c in row.items())
+
+    def eval(self, x: float, w: float = 1.0) -> float:
+        return math.fsum(self._monomials(x, w))
 
     def eval_abs(self, x: float, w: float = 1.0) -> float:
         """Sum of absolute monomial magnitudes; yardstick for residual tests."""
-        if x <= 0:
-            raise ValueError(f"evaluation needs X > 0, got {x}")
-        w2 = w * w
-        return math.fsum(
-            abs(float(c)) * w2**m * x ** (e2 / 2.0)
-            for e2, row in self._terms.items()
-            for m, c in row.items()
-        )
+        return math.fsum(map(abs, self._monomials(x, w)))
 
     def subs_w(self, w) -> "LaurentPoly":
         """Bind the symbolic baseline frequency to an exact rational value."""
@@ -290,6 +268,43 @@ class LaurentPoly:
             if tot:
                 out[e2] = {0: tot}
         return LaurentPoly(out)
+
+
+def certified_roots(k, sign: int) -> list[tuple[float, int]]:
+    """(root, Newton steps) for the real roots of sign `sign` of the exact
+    polynomial K(r) = sum_n k_n r^n, ascending.
+
+    Candidates are `numpy.roots` of K(rho s), rho = |k_lo/k_hi|^(1/(hi-lo))
+    over the extreme nonzero degrees, polished by Newton on exact K; a root
+    is kept where exact K changes sign between its two float neighbours.
+    """
+    nonzero = [n for n, c in enumerate(k) if c]
+    if len(nonzero) < 2:
+        return []
+    lo, hi = nonzero[0], nonzero[-1]
+
+    def K(r, d=0):  # exact d-th derivative of K at the float r
+        return sum(k[n] * math.perm(n, d) * Fraction(r) ** (n - d) for n in nonzero if n >= d)
+
+    roots: dict[float, int] = {}
+    try:  # rho by logs: |k_lo/k_hi| may leave the float range where rho does not
+        ratio = abs(Fraction(k[lo]) / k[hi])
+        rho = Fraction(math.exp((math.log(ratio.numerator) - math.log(ratio.denominator))
+                                / (hi - lo)))
+        cands = np.roots([float(k[n] / k[hi] * rho ** (n - hi)) for n in range(hi, lo - 1, -1)])
+        for z in cands[(sign * cands.real > 0) & (abs(cands.imag) <= 1e-6 * abs(cands))]:
+            r, prev, steps = float(z.real) * float(rho), None, 0
+            while steps < 50:
+                slope = K(r, 1)
+                nr = float(r - K(r) / slope) if slope else r
+                if nr in (r, prev):
+                    break
+                prev, r, steps = r, nr, steps + 1
+            if r * sign > 0 > K(math.nextafter(r, -math.inf)) * K(math.nextafter(r, math.inf)):
+                roots.setdefault(r, steps)
+    except (OverflowError, ZeroDivisionError):  # rho, a scaled coefficient or a root
+        raise FloatOverflow("the roots of an exact polynomial leave the float range") from None
+    return sorted(roots.items())
 
 
 # Newton stops once a step moves the root by at most this relative amount;

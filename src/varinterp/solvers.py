@@ -2,23 +2,33 @@
 
 `find_omega` finds the stationary trial frequency on the branch of the most
 negative root of K (scanning when there is none).  `infer_coefficients` runs
-the algorithm backwards: given leading strong-coupling coefficients, it
-solves for unknown high-order weak coefficients together with the growth
-constant c by damped Newton iteration on an analytic Jacobian.
+the algorithm backwards: targets b_0*..b_{m-1}* fix the top m weak
+coefficients a_{k+1..k+m} and the growth constant c in closed form.  As
+b_n(c) = c^(p-2n) sum_l G_nl a_l c^(-lq) (G_nl = `strong_limit.basis_coeff`),
+the targets are linear in u_i = a_{k+1+i} c^(-(k+1+i)q) through the c-free,
+anti-triangular G_u[n][i] = G_{n,k+1+i}; with G_u^T y = h,
+h_i = (p - (k+1+i)q) G_{0,k+1+i}, eliminating u turns db0/dc = 0 into
+
+    Phi(c) = sum_{l<=k} a_l ((p - lq) G_0l - sum_n y_n G_nl) c^(-lq)
+             + sum_{n<m} y_n b_n* c^(2n-p) = 0,
+
+exact in its coefficients and a polynomial in s = c^(1/d) up to a power of s.
+Its certified positive roots (`series.certified_roots`) are all the
+solutions; the one nearest in |log c| to the growth constant of the known
+coefficients alone wins, or the smallest root when they fix none.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import strong_limit
 from .errors import FloatOverflow, NoCandidate, NoConvergence, NoExtremum
 from .reexpand import TrialFunction, build_trial
-from .series import LaurentPoly, ScalingLaw, WeakSeries, _bracketed_newton, scan_roots
+from .series import ScalingLaw, WeakSeries, _bracketed_newton, certified_roots, scan_roots
 
 __all__ = [
     "FrequencyResult",
@@ -113,145 +123,78 @@ class InferenceProblem:
 class InferenceSolution:
     extension: tuple[float, ...]
     c: float
-    residuals: tuple[float, ...]
-    iterations: int
+    residuals: tuple[float, ...]  # b_n(c) - b_n* for n < m, then db0/dc
+    iterations: int  # Newton steps that polished the chosen root
+    roots: tuple[float, ...]  # every certified positive root c, ascending
+    prefix_c: float | None  # growth constant of the known coefficients alone
 
 
-def _basis_tables(p: InferenceProblem):
-    """g[n][l], g'[n][l], g''[0][l] as Laurent polynomials in c."""
-    k = len(p.known_a) - 1
-    m = p.unknown_count
-    N = k + m
-    g: list[list[LaurentPoly]] = []
-    gp: list[list[LaurentPoly]] = []
-    for n in range(m):
-        row = [strong_limit.coeff_basis_poly(l, N, p.law, n) for l in range(N + 1)]
-        g.append(row)
-        gp.append([q.diff() for q in row])
-    gpp0 = [q.diff() for q in gp[0]]
-    return g, gp, gpp0
-
-
-# scaled max-norm residual at which a Newton run counts as converged
-_RESID_TOL = 1e-13
-# a run stalls when its residual has not halved over this many steps
-_STALL_STEPS = 10
-
-
-def _newton_run(p: InferenceProblem, g, gp, gpp0, c0: float, max_iter: int = 200):
-    """Damped Newton from (0, ..., 0, c0): final z, F, scaled residual, steps.
-
-    The run ends on convergence, on a step that cannot reduce the residual,
-    or on a stall: no halving of the residual over the last _STALL_STEPS.
-    """
-    k = len(p.known_a) - 1
-    m = p.unknown_count
-    N = k + m
-    known = [float(a) for a in p.known_a]
-
-    def full_a(z):
-        return known + list(z[:m])
-
-    def residual(z):
-        a = full_a(z)
-        c = z[m]
-        F = []
-        for n in range(m):
-            F.append(sum(a[l] * _peval(g[n][l], c) for l in range(N + 1)) - p.known_b[n])
-        F.append(sum(a[l] * _peval(gp[0][l], c) for l in range(N + 1)))
-        return F
-
-    def jacobian(z):
-        a = full_a(z)
-        c = z[m]
-        J = []
-        for n in range(m):
-            row = [_peval(g[n][k + 1 + i], c) for i in range(m)]
-            row.append(sum(a[l] * _peval(gp[n][l], c) for l in range(N + 1)))
-            J.append(row)
-        row = [_peval(gp[0][k + 1 + i], c) for i in range(m)]
-        row.append(sum(a[l] * _peval(gpp0[l], c) for l in range(N + 1)))
-        J.append(row)
-        return J
-
-    scale = [max(abs(b), 1.0) for b in p.known_b] + [1.0]
-
-    def norm(F):
-        return max(abs(f) / s for f, s in zip(F, scale))
-
-    z = [0.0] * m + [c0]
-    F = residual(z)
-    nF = norm(F)
-    history = [nF]
-    for it in range(1, max_iter + 1):
-        if z[m] <= 0 or not all(math.isfinite(v) for v in z):
-            break
-        try:
-            step = np.linalg.solve(jacobian(z), F).tolist()
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            trial = [zi - lam * si for zi, si in zip(z, step)]
-            if trial[m] > 0:
-                Ft = residual(trial)
-                nt = norm(Ft)
-                if nt < nF or nt < 1e-15:
-                    z, F, nF = trial, Ft, nt
-                    improved = True
-                    break
-            lam *= 0.5
-        history.append(nF)
-        if (not improved or nF <= _RESID_TOL
-                or it >= _STALL_STEPS and nF > 0.5 * history[-1 - _STALL_STEPS]):
-            break
-    return z, F, nF, it
-
-
-def _peval(poly: LaurentPoly, c: float) -> float:
-    return 0.0 if poly.is_zero() else poly.eval(c)
+def _anti_solve(M, rhs):
+    """Solve M x = rhs for square M with M[r][j] = 0 whenever r + j >= len(M)."""
+    x = []  # row r fixes x[len(M) - 1 - r]
+    for r in range(len(M) - 1, -1, -1):
+        x.append((rhs[r] - sum(a * b for a, b in zip(M[r], x))) / M[r][len(x)])
+    return x
 
 
 def infer_coefficients(p: InferenceProblem) -> InferenceSolution:
-    """Solve {b_n(c; a) = b_n*, db0/dc = 0} for the unknown coefficients and c.
+    """Solve {b_n(c; a) = b_n*, n < m; db0/dc = 0} for the m unknown a's and c.
 
-    Multistart damped Newton; among converged solutions the one with the
-    smallest positive c wins.
+    Every certified positive root of Phi (module docstring) is a solution.
     """
-    g, gp, gpp0 = _basis_tables(p)
+    law, m, k = p.law, p.unknown_count, len(p.known_a) - 1
+    N = k + m
+    G = [[strong_limit.basis_coeff(l, N, law, n) for l in range(N + 1)] for n in range(m)]
+    pw = [law.p - l * law.q for l in range(N + 1)]  # power of c by a_l in b_0
+    for i in range(m):
+        if not G[m - 1 - i][k + 1 + i]:
+            raise NoConvergence(f"a{k + 1 + i} is not determined (zero weight in b_{m - 1 - i})")
+    y = _anti_solve([[row[l] for row in G] for l in range(k + 1, N + 1)],
+                    [pw[l] * G[0][l] for l in range(k + 1, N + 1)])
+    phi: defaultdict[Fraction, Fraction] = defaultdict(Fraction)  # exponent -> coefficient
+    for l, a in enumerate(p.known_a):
+        phi[-l * law.q] += a * (pw[l] * G[0][l] - sum(yn * row[l] for yn, row in zip(y, G)))
+    for n, b in enumerate(p.known_b):
+        phi[2 * n - law.p] += y[n] * Fraction(b)
+    phi = {e: v for e, v in phi.items() if v}
+    d = math.lcm(*(e.denominator for e in phi))
+    lo = min(phi, default=0)
+    P = [phi.get(lo + Fraction(j, d), 0) for j in range(int(d * (max(phi, default=0) - lo)) + 1)]
 
-    inits: list[float] = []
-    try:
-        prefix = WeakSeries(list(p.known_a) + [0] * p.unknown_count)
-        inits.append(strong_limit.optimize_c(prefix, p.law).c)
-    except (NoExtremum, FloatOverflow, ValueError):
-        pass
-    inits += [10.0 ** e for e in (-2, -1, 0, 1, 2)]
+    Gf, pwf = [[float(g) for g in row] for row in G], [float(e) for e in pw]
+    known = [float(a) for a in p.known_a]
 
-    solutions = []
-    best_resid = math.inf
-    for c0 in inits:
-        z, F, resid, its = _newton_run(p, g, gp, gpp0, c0)
-        if not resid <= _RESID_TOL:  # NaN counts as failure
-            best_resid = min(best_resid, resid)
-            continue
-        c = z[p.unknown_count]
-        if c > 0:
-            if not any(abs(c - s[1]) <= 1e-8 * c for s in solutions):
-                solutions.append((z, c, F, its))
+    def b(n, a, c):  # b_n(c) for the coefficients a
+        return math.fsum(g * al * c ** (e - 2 * n) for g, al, e in zip(Gf[n], a, pwf))
+
+    def solve_at(c):  # unknowns and residuals at a root; OverflowError beyond the float range
+        r = [(bn - b(n, known, c)) * c ** (2 * n - pwf[0]) for n, bn in enumerate(p.known_b)]
+        u = _anti_solve([row[k + 1:] for row in Gf], r)
+        a = known + [ui * c ** (pwf[0] - e) for ui, e in zip(u, pwf[k + 1:])]
+        db0 = math.fsum(e * g * al * c ** (e - 1) for e, g, al in zip(pwf, Gf[0], a))
+        return a[k + 1:], [b(n, a, c) - bn for n, bn in enumerate(p.known_b)] + [db0]
+
+    roots, solutions = [], []
+    for s, steps in certified_roots(P, +1):
+        try:
+            c = s**d
+            if c > 0:  # not underflowed
+                roots.append(c)
+                solutions.append((c, *solve_at(c), steps))
+        except (OverflowError, ValueError):  # a float power, or inf - inf in fsum
+            pass
+    solutions = [sol for sol in solutions if all(map(math.isfinite, sol[1]))]
     if not solutions:
-        raise NoConvergence(
-            f"Newton failed from all starting points (best residual {best_resid:.3e})",
-            best_residual=best_resid,
-        )
-    z, c, F, its = min(solutions, key=lambda s: s[1])
-    return InferenceSolution(
-        extension=tuple(z[: p.unknown_count]),
-        c=c,
-        residuals=tuple(F),
-        iterations=its,
-    )
+        raise NoConvergence("no certified positive root of the stationarity polynomial gives "
+                            f"finite coefficients (roots: {roots})")
+    try:
+        prefix_c = strong_limit.optimize_c(WeakSeries(list(p.known_a) + [0] * m), law).c
+    except (NoExtremum, FloatOverflow, ValueError):
+        prefix_c = None
+    c, ext, resid, steps = min(solutions, key=(lambda sol: abs(math.log(sol[0] / prefix_c)))
+                               if prefix_c is not None else (lambda sol: sol[0]))
+    return InferenceSolution(extension=tuple(ext), c=c, residuals=tuple(resid),
+                             iterations=steps, roots=tuple(roots), prefix_c=prefix_c)
 
 
 def extend_model(spec):
@@ -265,7 +208,8 @@ def extend_model(spec):
     problem = InferenceProblem(
         known_a=spec.weak.coeffs,
         unknown_count=len(spec.known_strong),
-        known_b=tuple(spec.known_strong),
+        # b_n carries w^(2n) at baseline frequency w; the system is posed at w = 1
+        known_b=tuple(b / spec.omega ** (2 * n) for n, b in enumerate(spec.known_strong)),
         law=spec.law,
     )
     sol = infer_coefficients(problem)

@@ -17,31 +17,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .errors import DegenerateCurvature, FloatOverflow, NoExtremum
 from .reexpand import branch_roots
 from .series import LaurentPoly, ScalingLaw, WeakSeries, binom_general
 
-__all__ = ["StrongCoeffs", "b_poly", "b_of_c", "coeff_basis_poly", "optimize_c", "correct_bn"]
+__all__ = ["StrongCoeffs", "b_poly", "b_of_c", "basis_coeff", "coeff_basis_poly", "optimize_c",
+           "correct_bn"]
 
 MAX_CORRECTED_ORDER = 4
 
 
+def basis_coeff(l: int, N: int, law: ScalingLaw, n: int) -> Fraction:
+    """G_nl = sum_{j=n}^{N-l} C((p - l q)/2, j) C(j, n) (-1)^(j-n), the weight of
+    a_l c^(p - l q - 2 n) in b_n(c); zero for n > N - l."""
+    x = (law.p - law.q * l) / 2
+    return sum((binom_general(x, j) * binom_general(j, n) * (-1) ** (j - n)
+                for j in range(n, N - l + 1)), Fraction(0))
+
+
 def coeff_basis_poly(l: int, N: int, law: ScalingLaw, n: int) -> LaurentPoly:
     """Contribution of a unit weak coefficient a_l to b_n, as a poly in c."""
-    x = (law.p - law.q * l) / 2
     e = 2 * (law.p - law.q * l - 2 * n)
     if e.denominator != 1:
         raise ValueError(f"power p - l q - 2 n = {e / 2} is not a half-integer")
-    total = sum(
-        binom_general(x, j) * binom_general(j, n) * (-1) ** (j - n)
-        for j in range(n, N - l + 1)
-    )
-    return LaurentPoly.term(total, twice_exp=int(e))
+    return LaurentPoly.term(basis_coeff(l, N, law, n), twice_exp=int(e))
 
 
 def b_poly(s: WeakSeries, law: ScalingLaw, n: int) -> LaurentPoly:
-    """Exact Laurent polynomial in c for the n-th strong coefficient b_n(c)."""
+    """Exact Laurent polynomial in c for b_n(c) at baseline frequency w = 1;
+    at other w, b_n carries a further factor w^(2n)."""
     if n < 0:
         raise ValueError(f"coefficient index must be nonnegative, got {n}")
     N = s.order
@@ -53,6 +59,7 @@ def b_poly(s: WeakSeries, law: ScalingLaw, n: int) -> LaurentPoly:
 
 
 def b_of_c(s: WeakSeries, law: ScalingLaw, n: int, c: float) -> float:
+    """b_n(c) at baseline frequency w = 1 (see `b_poly`)."""
     if c <= 0:
         raise ValueError(f"growth constant must be positive, got {c}")
     return b_poly(s, law, n).eval(c)

@@ -47,7 +47,7 @@ class TestModelSpecs:
 
     def test_mass_spec(self):
         spec = builtin("polaron_mass")
-        assert spec.law.strong_power(0) == 4
+        assert spec.law.p / spec.law.q == 4
         assert spec.apply_prefactor(2.0, 3.0) == 3.0
 
 

@@ -4,14 +4,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from varinterp import solvers
 from varinterp.errors import FloatOverflow, NoCandidate, NoConvergence, VarInterpError
 from varinterp.models import AHO_B0, aho_omega1, builtin
 from varinterp.reexpand import build_trial
-from varinterp.series import ScalingLaw, StrongSeries, WeakSeries
+from varinterp.series import ScalingLaw, StrongSeries, WeakSeries, binom_general
 from varinterp.solvers import (
     InferenceProblem,
     extend_model,
@@ -19,7 +18,7 @@ from varinterp.solvers import (
     infer_coefficients,
     interpolant,
 )
-from varinterp.strong_limit import b_of_c
+from varinterp.strong_limit import b_of_c, b_poly, optimize_c
 
 F = Fraction
 
@@ -160,31 +159,78 @@ class TestInference:
 
     def test_prefix_beyond_the_float_range_fails_typed(self):
         # the roots of K for these known coefficients leave the float range,
-        # so only the fixed starts run
+        # and so do the coefficients at the root of the stationarity polynomial
         for known_a in ((F(1e-200), F(1e200)), (F(1e200), F(1e-200))):
             with pytest.raises(NoConvergence):
                 infer_coefficients(InferenceProblem(known_a=known_a, unknown_count=1,
                                                     known_b=(1.0,), law=ScalingLaw(1, 3)))
 
-    def test_stalled_starts_end_early(self, monkeypatch):
-        # polaron_energy's starts c0 = 10 and 100 never converge; the stall
-        # stop ends them long before the iteration cap of 200
-        runs = {}
-        newton_run = solvers._newton_run
-
-        def recording_run(p, g, gp, gpp0, c0, **kw):
-            runs[c0] = newton_run(p, g, gp, gpp0, c0, **kw)
-            return runs[c0]
-
-        monkeypatch.setattr(solvers, "_newton_run", recording_run)
-        extend_model(builtin("polaron_energy"))
-        for c0 in (10.0, 100.0):
-            _, _, resid, its = runs[c0]
-            assert resid > 1.0 and its <= 30
-
     def test_smallest_positive_growth_constant(self):
         _, sol = extend_model(builtin("polaron_energy"))
         assert 0 < sol.c < 0.1
+
+    def test_energy_roots_against_mpmath(self):
+        """All three stationary roots, each within 1e-15 of a 40-digit root of
+        db0/dc with the unknowns eliminated (mpmath findroot at 60 digits)."""
+        _, sol = extend_model(builtin("polaron_energy"))
+        frozen = ("0.003796416698357139436051505814734588263326",
+                  "0.09819867921329715064247432194433414814952",
+                  "0.4765045514790368538795094434373955222735")
+        assert len(sol.roots) == 3
+        for got, ref in zip(sol.roots, frozen):
+            assert abs(got / mpmath.mpf(ref) - 1) <= 1e-15
+        # the published root is the one nearest the prefix's growth constant
+        assert sol.c == sol.roots[1]
+        assert abs(math.log(sol.c / sol.prefix_c)) < abs(math.log(sol.roots[0] / sol.prefix_c))
+
+    def test_unit_q_law_solves(self):
+        # one unknown, q = 1: c^4 = 3 b0 and a1 = (1 + b0 / c^4) c
+        sol = infer_coefficients(InferenceProblem(known_a=(F(1),), unknown_count=1,
+                                                  known_b=(2.796,), law=ScalingLaw(4, 1)))
+        assert sol.c == pytest.approx(1.70182384889721, rel=1e-12)
+        assert sol.c == pytest.approx((3 * 2.796) ** 0.25, rel=1e-15)
+        assert sol.extension[0] == pytest.approx(2.26909846519628, rel=1e-12)
+        assert sol.roots == (sol.c,) and sol.prefix_c is None
+
+    def test_undetermined_coefficient_is_named(self):
+        # p = q: a_1 carries the factor C(0, 1) = 0 in b_1, so b_1 fixes nothing
+        with pytest.raises(NoConvergence, match="a1 is not determined"):
+            infer_coefficients(InferenceProblem(known_a=(F(1),), unknown_count=2,
+                                                known_b=(1.0, 1.0), law=ScalingLaw(1, 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p2=st.integers(-8, 16),
+        q2=st.integers(1, 8),
+        coeffs=st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
+                        min_size=2, max_size=5),
+        m=st.integers(1, 2),
+    )
+    def test_round_trip_over_random_laws(self, p2, q2, coeffs, m):
+        """Hide the top m coefficients of a series, take its b_n(c*) as targets:
+        c* is among the roots, and the answer meets the targets and db0/dc = 0."""
+        assume(len(coeffs) > m)
+        s, law = WeakSeries(coeffs), ScalingLaw(F(p2, 2), F(q2, 2))
+        k = s.order - m
+        # the top coefficients are undetermined where a weight C(x_l, m - 1 - i) vanishes
+        assume(all(binom_general((law.p - law.q * (k + 1 + i)) / 2, m - 1 - i)
+                   for i in range(m)))
+        try:
+            c_star = optimize_c(s, law).c
+            targets = tuple(b_of_c(s, law, n, c_star) for n in range(m))
+        except VarInterpError:
+            assume(False)
+        sol = infer_coefficients(InferenceProblem(known_a=s.coeffs[:k + 1], unknown_count=m,
+                                                  known_b=targets, law=law))
+        assert any(abs(r / c_star - 1) <= 1e-8 for r in sol.roots)
+        ext = WeakSeries(s.coeffs[:k + 1] + tuple(F(a) for a in sol.extension))
+        # yardstick: the sum of absolute terms, as b_n may cancel to far below
+        # them at a root other than c*
+        for n, target in enumerate(targets):
+            b = b_poly(ext, law, n)
+            assert abs(b.eval(sol.c) - target) <= 1e-10 * b.eval_abs(sol.c)
+        d1 = b_poly(ext, law, 0).diff()
+        assert abs(d1.eval(sol.c)) <= 1e-10 * d1.eval_abs(sol.c)
 
 
 class TestInterpolant:
